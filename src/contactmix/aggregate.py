@@ -155,20 +155,6 @@ def matrix_from_csv(text: str) -> tuple[list[str], list[str], np.ndarray, np.nda
 # --- matrix builders ---------------------------------------------------------
 
 
-def _pair_metric_arrays(
-    summaries: Mapping[tuple[int, int], PairSummary]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = len(summaries)
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
-    count = np.empty(n, dtype=np.float64)
-    dur = np.empty(n, dtype=np.float64)
-    dsum = np.empty(n, dtype=np.float64)
-    for i, s in enumerate(summaries.values()):
-        a[i], b[i], count[i], dur[i], dsum[i] = s.id_a, s.id_b, s.count, s.duration, s.dist_sum
-    return a, b, count, dur, dsum
-
-
 def agent_matrix(
     summaries: Mapping[tuple[int, int], PairSummary],
     agent_ids: Iterable[int],

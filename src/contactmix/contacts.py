@@ -12,6 +12,7 @@ Frames must arrive in dense tick order.  Closed records are never revised.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,22 +66,22 @@ def _expand_blocks(
     return q, r
 
 
-def pairs_within(
-    ids: np.ndarray, positions: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All unordered pairs with distance <= radius, sorted by (min id, max id).
+# Up to this many points every pair is a candidate: with about 3 neighbours
+# per point the upper triangle beats building a grid (2-vCPU VM: 26 against
+# 182 us at n = 14, 83 against 174 us at n = 128); the grid wins by n = 160.
+BRUTE_FORCE_MAX_N = 128
 
-    Uses a uniform grid with cell edge equal to the radius, so any qualifying
-    pair sits in the same or an adjacent cell (3x3 neighbourhood).  Occupied
-    cells are matched group-to-group, visiting each unordered cell pair once:
-    a cell against itself plus its four forward neighbours of the stencil.
-    Returns (id_a, id_b, distance) with id_a < id_b elementwise.
-    """
-    n = len(ids)
-    empty = np.empty(0, dtype=np.int64)
-    if n < 2:
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
 
+@functools.lru_cache(maxsize=2)  # one n per tick is typical; each entry is O(n^2)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
+def _grid_candidates(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) from same or adjacent grid cells of edge radius."""
     cells = np.floor(positions / radius).astype(np.int64)
     cx = cells[:, 0] - cells[:, 0].min()
     cy = cells[:, 1] - cells[:, 1].min() + 1
@@ -108,8 +109,32 @@ def pairs_within(
         parts_i.append(i)
         parts_j.append(j)
 
-    cand_i = order[np.concatenate(parts_i)]
-    cand_j = order[np.concatenate(parts_j)]
+    return order[np.concatenate(parts_i)], order[np.concatenate(parts_j)]
+
+
+def pairs_within(
+    ids: np.ndarray, positions: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All unordered pairs with distance <= radius, sorted by (min id, max id).
+
+    Up to BRUTE_FORCE_MAX_N points, every pair of the upper triangle is a
+    candidate.  Above that a uniform grid with cell edge equal to the radius
+    supplies them, so any qualifying pair sits in the same or an adjacent
+    cell (3x3 neighbourhood).  Occupied cells are matched group-to-group,
+    visiting each unordered cell pair once: a cell against itself plus its
+    four forward neighbours of the stencil.  Both paths share the distance
+    filter and the final sort, so they return the same bytes.
+    Returns (id_a, id_b, distance) with id_a < id_b elementwise.
+    """
+    n = len(ids)
+    empty = np.empty(0, dtype=np.int64)
+    if n < 2:
+        return empty, empty.copy(), np.empty(0, dtype=np.float64)
+
+    if n <= BRUTE_FORCE_MAX_N:
+        cand_i, cand_j = _upper_triangle(n)
+    else:
+        cand_i, cand_j = _grid_candidates(positions, radius)
     if len(cand_i) == 0:
         return empty, empty.copy(), np.empty(0, dtype=np.float64)
 

@@ -11,6 +11,16 @@ cells, integrated with one Euler step per substep.  Speed is capped at a
 multiple of the agent's own desired speed, and motion never enters a blocked
 cell; a step that would do so slides along the wall or stops.
 
+Walls never move, so the wall search is a table built once per simulation
+(a cell list in the sense of Allen & Tildesley, ch. 5): for each map cell,
+padded beyond the wall ring, the walls within the largest force cutoff of
+that cell.  A substep gathers each agent's candidates from its own cell and
+applies the exact distance cutoff, keeping (agent, wall) ascending order so
+forces are summed in a fixed order.  Agent-agent pairs come from
+``pairs_within``, which below a crossover size checks every pair directly.
+Routes are memoised per (start cell, goal cell); A* on a static map always
+returns the same path.
+
 Capacity is slot accounting: an agent heading to a full location keeps the
 location's cells off-limits for itself and piles up at the boundary until a
 slot frees.  Slots map to berth points (the anchor first, then the other
@@ -103,8 +113,8 @@ def _pair_direction(i: int, j: int) -> tuple[float, float]:
     return math.cos(a), math.sin(a)
 
 
-def _obstacle_centers(env: EnvironmentMap) -> np.ndarray:
-    """Centers of blocked cells plus a one-cell wall ring around the map."""
+def _obstacle_cells(env: EnvironmentMap) -> np.ndarray:
+    """Blocked cells plus a one-cell wall ring around the map, as (k, 2) ints."""
     cells = sorted(env.blocked)
     for x in range(-1, env.width + 1):
         cells.append((x, -1))
@@ -112,10 +122,75 @@ def _obstacle_centers(env: EnvironmentMap) -> np.ndarray:
     for y in range(env.height):
         cells.append((-1, y))
         cells.append((env.width, y))
-    if not cells:
-        return np.empty((0, 2))
-    arr = np.array(cells, dtype=np.float64)
-    return (arr + 0.5) * env.cell_size
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)
+
+
+def _obstacle_radius(max_radius: float, params: ForceParameters, cs: float) -> float:
+    """Wall-search cutoff around an agent's centre.
+
+    The centre-to-centre distance overshoots the agent-to-rectangle distance
+    by at most half a cell diagonal, hence the 0.7072 * cell size.
+    """
+    return max_radius + 4.0 * params.obstacle_range + cs * 0.7072
+
+
+@dataclass(frozen=True)
+class _ObstacleTable:
+    """Per map cell, the walls an agent standing in that cell could feel.
+
+    Walls never move, so this is built once.  It is CSR over a padded cell
+    grid: cell (x, y) has key ``(x - x0) * rows + (y - y0)`` and its walls
+    are ``idx[starts[key]:starts[key + 1]]``, ascending.  Every wall whose
+    centre lies within ``reach`` of the cell's rectangle is listed, so the
+    candidates of a point in the cell include every wall centre within
+    ``reach`` of the point.  Points outside the padded grid are farther than
+    ``reach`` from every wall.
+    """
+
+    cell_size: float
+    reach: float
+    x0: int
+    y0: int
+    cols: int
+    rows: int
+    starts: np.ndarray
+    idx: np.ndarray
+    cx: np.ndarray  # wall centres, x
+    cy: np.ndarray  # wall centres, y
+    lo: np.ndarray  # wall rectangles, lower-left corners
+    hi: np.ndarray  # wall rectangles, upper-right corners
+
+
+def _build_obstacle_table(
+    env: EnvironmentMap, max_radius: float, params: ForceParameters
+) -> _ObstacleTable:
+    cs = env.cell_size
+    reach = _obstacle_radius(max_radius, params, cs)
+    # absorbs rounding in floor(x / cs) and in the squared-distance test
+    r_max = reach + 1e-6 * cs
+    pad = math.ceil(r_max / cs) + 1
+    # cells whose rectangle lies within r_max of the centre of cell (0, 0)
+    off = np.arange(-pad, pad + 1, dtype=np.int64)
+    gap = np.maximum(np.abs(off) - 0.5, 0.0) * cs
+    ox, oy = np.meshgrid(off, off, indexing="ij")
+    near = gap[:, None] ** 2 + gap[None, :] ** 2 <= r_max * r_max
+    ox, oy = ox[near], oy[near]
+
+    cells = _obstacle_cells(env)
+    x0, y0 = -1 - pad, -1 - pad
+    cols, rows = env.width + 2 + 2 * pad, env.height + 2 + 2 * pad
+    key = ((cells[:, 0, None] + ox - x0) * rows + (cells[:, 1, None] + oy - y0)).ravel()
+    wall = np.repeat(np.arange(len(cells), dtype=np.int64), len(ox))
+    order = np.argsort(key, kind="stable")  # stable: walls stay ascending per cell
+    starts = np.zeros(cols * rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
+    centers = (cells + 0.5) * cs
+    return _ObstacleTable(
+        cell_size=cs, reach=reach, x0=x0, y0=y0, cols=cols, rows=rows,
+        starts=starts, idx=wall[order],
+        cx=np.ascontiguousarray(centers[:, 0]), cy=np.ascontiguousarray(centers[:, 1]),
+        lo=centers - cs / 2.0, hi=centers + cs / 2.0,
+    )
 
 
 def _allowed_cells(
@@ -183,30 +258,39 @@ def _contain(
 
 
 def _obstacle_acceleration(
-    env: EnvironmentMap,
-    centers: np.ndarray,
+    table: _ObstacleTable,
     pos: np.ndarray,
     radii: np.ndarray,
     params: ForceParameters,
 ) -> np.ndarray:
     n = len(pos)
     acc = np.zeros((n, 2))
-    if len(centers) == 0 or n == 0:
+    if n == 0:
         return acc
-    cs = env.cell_size
-    reach = float(radii.max()) + 4.0 * params.obstacle_range
-    pts = np.vstack([pos, centers])
-    ids = np.arange(len(pts), dtype=np.int64)
-    # center distance overshoots the rectangle distance by at most half a diagonal
-    ia, ib, _ = pairs_within(ids, pts, reach + cs * 0.7072)
-    mask = (ia < n) & (ib >= n)
-    if not mask.any():
+    cs = table.cell_size
+    radius = _obstacle_radius(float(radii.max()), params, cs)
+    if radius > table.reach:
+        raise ValueError(f"obstacle table covers {table.reach} m, step needs {radius} m")
+    fx = np.floor(pos[:, 0] / cs) - table.x0
+    fy = np.floor(pos[:, 1] / cs) - table.y0
+    inside = (fx >= 0) & (fx < table.cols) & (fy >= 0) & (fy < table.rows)
+    key = (fx[inside] * table.rows + fy[inside]).astype(np.int64)
+    first = np.zeros(n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    first[inside] = table.starts[key]
+    count[inside] = table.starts[key + 1] - first[inside]
+    # agents ascending, each agent's walls ascending: the order np.add.at sums in
+    agent = np.repeat(np.arange(n, dtype=np.int64), count)
+    shift = np.repeat(first - (np.cumsum(count) - count), count)
+    cell = table.idx[np.arange(len(agent), dtype=np.int64) + shift]
+    dx = pos[agent, 0] - table.cx[cell]
+    dy = pos[agent, 1] - table.cy[cell]
+    keep = dx * dx + dy * dy <= radius * radius
+    if not keep.any():
         return acc
-    agent = ia[mask]
-    cell = ib[mask] - n
-    lo = centers[cell] - cs / 2.0
-    hi = centers[cell] + cs / 2.0
-    closest = np.clip(pos[agent], lo, hi)
+    agent = agent[keep]
+    cell = cell[keep]
+    closest = np.clip(pos[agent], table.lo[cell], table.hi[cell])
     dvec = pos[agent] - closest
     d = np.hypot(dvec[:, 0], dvec[:, 1])
     nz = d > _EPS  # agents never sit inside a blocked cell
@@ -226,7 +310,7 @@ def social_force_step(
     env: EnvironmentMap | None = None,
     moving: np.ndarray | None = None,
     forbidden: np.ndarray | None = None,
-    _obstacles: np.ndarray | None = None,
+    _obstacles: _ObstacleTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler substep; returns (positions, velocities) as new arrays.
 
@@ -268,8 +352,10 @@ def social_force_step(
         np.add.at(acc, ib, -f)
 
     if env is not None:
-        centers = _obstacles if _obstacles is not None else _obstacle_centers(env)
-        acc += _obstacle_acceleration(env, centers, pos, radii, params)
+        table = _obstacles
+        if table is None:
+            table = _build_obstacle_table(env, float(radii.max()), params)
+        acc += _obstacle_acceleration(table, pos, radii, params)
 
     mv = moving
     v = vel[mv] + dt * acc[mv]
@@ -414,7 +500,12 @@ class Simulation:
         self.tick_length = config.tick_length if config.tick_length is not None else scenario.tick_length
         self.type_names = scenario.type_names
         self._loc_index = {name: i for i, name in enumerate(sorted(self.env.locations))}
-        self._obstacles = _obstacle_centers(self.env)
+        self._obstacles = _build_obstacle_table(
+            self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces
+        )
+        self._routes: dict[tuple, tuple] = {}  # (start cell, goal cell) -> route cells
+        # routes share one tuple per cell, so the memo grows by a pointer per step
+        self._route_cells: dict[tuple, tuple] = {}
 
         self.agents: list[_Agent] = []
         for t_idx, spec in enumerate(scenario.agent_types):
@@ -478,13 +569,17 @@ class Simulation:
     def _route_to(self, ag: _Agent, point: tuple[float, float], goal_name: str) -> None:
         start = self.env.cell_of(*self.pos[ag.index])
         goal = self.env.cell_of(*point)
-        try:
-            cells, _ = routing.shortest_cell_path(self.env, start, goal)
-        except routing.NoRouteError as e:
-            t_name = self.type_names[ag.type_idx]
-            raise SimulationFault(
-                f"agent {ag.index} ({t_name}) cannot reach location {goal_name!r}: {e}"
-            ) from e
+        cells = self._routes.get((start, goal))
+        if cells is None:  # A* is deterministic and the map static, so routes keep
+            try:
+                path, _ = routing.shortest_cell_path(self.env, start, goal)
+            except routing.NoRouteError as e:
+                t_name = self.type_names[ag.type_idx]
+                raise SimulationFault(
+                    f"agent {ag.index} ({t_name}) cannot reach location {goal_name!r}: {e}"
+                ) from e
+            pool = self._route_cells
+            cells = self._routes[(start, goal)] = tuple(pool.setdefault(c, c) for c in path)
         waypoints = [self.env.cell_center(c) for c in cells[:-1]]
         waypoints.append(point)
         ag.waypoints = waypoints

@@ -1,0 +1,103 @@
+"""Behaviour lock: sha256 digests of simulation output, pinned across changes.
+
+Determinism within one process is checked elsewhere; these digests pin the
+exact bytes a seeded run produces, so a change that claims to keep behaviour
+(a refactor, a faster neighbour search) must leave them unchanged.  A change
+that alters output on purpose re-pins them and says why in CHANGES.md.
+
+Regenerate with ``python tests/test_behaviour_lock.py`` (``PYTHONPATH=src``)
+and paste the printed dictionaries over the pinned ones.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+from contactmix.cli import EXIT_OK, main
+from contactmix.contacts import ContactConfig, ContactLedger
+from contactmix.engine import SimConfig, run
+
+from test_acceptance import _mixing_scenario
+
+CLINIC = Path(__file__).resolve().parents[1] / "src" / "contactmix" / "data" / "clinic.json"
+
+CLINIC_DIGESTS = {
+    "agent_by_type_count.csv": "ceb4d7de2a84f3eb2aa0688ec245c2d5536676a773d16479d1684bc40ed6bf2c",
+    "agent_by_type_distance.csv": "c4d6c80c5c7ac7d82dedd8480571275589407c8e57242cef8ec66a1ad34a917c",
+    "agent_by_type_duration.csv": "a1391c712acb48a987eacd50bd96e332ac922203ed228549c3dd392208839ace",
+    "agent_count.csv": "72c0674e7bcdc6ba4af9b34d61d95137edc0bffee3a08da492ef7896240ce73a",
+    "agent_distance.csv": "069307c4c686753b33c9275b8c6ac422b74c447fc54d479eda153281fa6dfd77",
+    "agent_duration.csv": "5206f63578a609aaf9d9e6f1fbd27f70e93908a80522123f47232f01b54aaed4",
+    "bundle.json": "d4252409833448430c09b128430ab763aaece7346ab415efd06d3a9553cde162",
+    "effective_chunks.csv": "6cdac35b1612cff61b02db7d5d43bfac1f1a7cbb7272918bd08ec38c6c24491c",
+    "frames.csv": "cdb5947cca30bc67671b54d186850d87d91ab4298e60d0b40edc04059b63a26d",
+    "hourly_series.csv": "7e484045752e2377bba0c4dfeb7774e5b59fc88fb1432e4a5044580bf423362f",
+    "manifest.json": "bdd7089de116a28fe33bf6f9b213cd897a6640e321d58c9c648afca587e16133",
+    "transmission_probability.csv": "bc66d0271242d991f90d9eece88b5db4928a76e7311f08b4ee576dc43f8d94fb",
+    "type_count.csv": "43178ef2bdcecd497314fcc0f15689494b6022e5f8f463f48d1f161065201132",
+    "type_distance.csv": "29342ca41cd2c45e6c9b04ea448f56716cfe96892f3ed3240b448375b76954cc",
+    "type_duration.csv": "c4f5c57a27acc42b7d40174fd827edea4efaad0c33d23615f5ab9c09c04a1f10",
+}
+
+MIXING_DIGESTS = {
+    "dist_sum": "2b853758f32aa191ef658a85f8b56518ef5664aadea44215a584a8f8849e01c9",
+    "duration": "d052b9589252ccd4b198fb5e43a24bea48888d7fc5407ba4bf3a539e2f95fd5d",
+    "id_a": "402e5cc92dfa43a360bf2022d3367aebf03e8f98f7dd7f26e0086503cd036d85",
+    "id_b": "50eebafcc9bc858aac5f8c9cd5792f06eb1f1c41d75e16f0e2f5bf1cf6a32d75",
+    "last": "766a99ed5d6f05c0363fa360d888378ce71832c7184d07188baeb50b310dc58c",
+    "open": "16a3b4b3e40ff4a66a8b714105f8c7ff564755cbf3188dfd2ceb9dd29f26795f",
+    "start": "bc2100e919506574fce09ddabf3385c12a1becf985f3f44382e5799227f0f827",
+    "type_a": "099d00b378b7cc7744c718b7be99ac82ccf099ce712f66bb481d29502badbf3b",
+    "type_b": "dc4b583453f5b67d3fc994056928f78c5a4ce3bc4c1ea8680f3ca2ff2fc3424c",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def clinic_digests(workdir: Path) -> dict[str, str]:
+    """Every output file of clinic seed 42, 600 ticks, frames exported."""
+    shutil.copyfile(CLINIC, workdir / "clinic.json")
+    cwd = os.getcwd()
+    os.chdir(workdir)  # relative paths keep manifest.json independent of workdir
+    try:
+        code = main(["run", "--scenario", "clinic.json", "--seed", "42", "--ticks", "600",
+                     "--export-frames", "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    assert code == EXIT_OK
+    out = workdir / "out"
+    return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def mixing_digests() -> dict[str, str]:
+    """Ledger columns of one short run of the acceptance mixing scenario."""
+    ticks = 300
+    ledger = ContactLedger(ContactConfig(effective_radius=2.0))
+    run(_mixing_scenario(), SimConfig(ticks=ticks, seed=0, physics_substeps=3), ledger.observe)
+    ledger.finalize(ticks - 1)
+    cols = ledger.columns()
+    return {name: _sha(np.ascontiguousarray(col).tobytes()) for name, col in sorted(cols.items())}
+
+
+def test_clinic_bundle_and_frames_are_locked(tmp_path):
+    assert clinic_digests(tmp_path) == CLINIC_DIGESTS
+
+
+def test_mixing_ledger_columns_are_locked():
+    assert mixing_digests() == MIXING_DIGESTS
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(clinic_digests(Path(tmp)))
+    pprint.pprint(mixing_digests())

@@ -1,11 +1,17 @@
 import csv
 import filecmp
+import importlib
 import json
+import os
+import re
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import contactmix.__main__
 from contactmix.aggregate import matrix_from_csv
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 
@@ -271,12 +277,34 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def console_command():
+    """The installed ``contactmix`` script, else its source-tree equivalent.
+
+    Without an install there is no script on PATH, so the ``[project.scripts]``
+    target is resolved from pyproject.toml and reached through
+    ``python -m contactmix`` with the source tree on PYTHONPATH.
+    """
+    script = shutil.which("contactmix")
+    if script:
+        return [script], None
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\s*^contactmix\s*=\s*"([\w.]+):(\w+)"', text, re.M)
+    assert target, "pyproject.toml declares no contactmix script"
+    module, func = target.groups()
+    assert getattr(importlib.import_module(module), func) is contactmix.__main__.main
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", module.partition(".")[0]], env
+
+
 def test_console_entry_point(clinic, tmp_path):
     out = tmp_path / "out"
+    command, env = console_command()
     proc = subprocess.run(
-        ["contactmix", "run", "--scenario", str(clinic), "--ticks", "30",
+        [*command, "run", "--scenario", str(clinic), "--ticks", "30",
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "type_count.csv").is_file()

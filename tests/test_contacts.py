@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactmix import contacts
 from contactmix.contacts import (
     ContactConfig,
     ContactLedger,
@@ -88,7 +89,7 @@ def test_neighbor_pairs_wrapper():
 
 
 @given(
-    st.integers(2, 120),
+    st.integers(2, 300),  # both sides of BRUTE_FORCE_MAX_N
     st.floats(0.3, 5.0),
     st.integers(0, 2**32 - 1),
 )
@@ -104,6 +105,21 @@ def test_grid_matches_brute_force_property(n, radius, seed):
     got = [(x, y) for x, y in zip(a.tolist(), b.tolist())]
     want = [(x, y) for x, y, _ in brute_force_pairs(ids.tolist(), pos.tolist(), radius)]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 14, 128, 129, 300])
+def test_triangle_and_grid_paths_return_same_bytes(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    ids = rng.permutation(3 * n)[:n].astype(np.int64)
+    pos = rng.uniform(0.0, np.sqrt(n * 4.0), size=(n, 2))
+    pos[n // 2] = pos[0]  # one coincident pair
+    results = []
+    for limit in (0, 10**9):  # grid only, then triangle only
+        monkeypatch.setattr(contacts, "BRUTE_FORCE_MAX_N", limit)
+        results.append(pairs_within(ids, pos, 2.0))
+    (ga, gb, gd), (ta, tb, td) = results
+    assert len(ga) > 0
+    assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
 
 
 # --- ledger semantics ----------------------------------------------------------

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from contactmix.contacts import ContactConfig, ContactLedger
+from contactmix import contacts, routing
+from contactmix.contacts import ContactConfig, ContactLedger, pairs_within
 from contactmix.engine import (
     ForceParameters,
     SimConfig,
     Simulation,
     SimulationFault,
+    _build_obstacle_table,
+    _obstacle_acceleration,
     run,
     social_force_step,
 )
@@ -136,6 +139,87 @@ def test_containment_blocks_wall_crossing():
             ForceParameters(), env=env,
         )
         assert env.walkable(env.cell_of(*pos[0])), pos
+
+
+# --- wall forces: obstacle table against a direct search ----------------------------
+
+
+def reference_obstacle_acceleration(env, pos, radii, params):
+    """Wall force from one pairs_within search over agents and wall centres.
+
+    This is the search the obstacle table replaced, kept as the oracle: the
+    table must reproduce it bit for bit, including summation order.
+    """
+    cells = sorted(env.blocked)
+    for x in range(-1, env.width + 1):
+        cells += [(x, -1), (x, env.height)]
+    for y in range(env.height):
+        cells += [(-1, y), (env.width, y)]
+    centers = (np.array(cells, dtype=np.float64) + 0.5) * env.cell_size
+    n = len(pos)
+    acc = np.zeros((n, 2))
+    cs = env.cell_size
+    reach = float(radii.max()) + 4.0 * params.obstacle_range
+    pts = np.vstack([pos, centers])
+    ia, ib, _ = pairs_within(np.arange(len(pts), dtype=np.int64), pts, reach + cs * 0.7072)
+    mask = (ia < n) & (ib >= n)
+    agent = ia[mask]
+    cell = ib[mask] - n
+    lo = centers[cell] - cs / 2.0
+    hi = centers[cell] + cs / 2.0
+    closest = np.clip(pos[agent], lo, hi)
+    dvec = pos[agent] - closest
+    d = np.hypot(dvec[:, 0], dvec[:, 1])
+    nz = d > 1e-12
+    mag = params.obstacle_strength * np.exp((radii[agent[nz]] - d[nz]) / params.obstacle_range)
+    np.add.at(acc, agent[nz], (mag / d[nz])[:, None] * dvec[nz])
+    return acc
+
+
+def awkward_positions(rng, env, n):
+    """Points near map edges, in the padding ring, on cell boundaries, anywhere."""
+    cs = env.cell_size
+    w, h = env.width * cs, env.height * cs
+    reach = 4.0 * cs
+    kinds = rng.integers(0, 4, size=n)
+    pos = np.column_stack([rng.uniform(-reach, w + reach, n), rng.uniform(-reach, h + reach, n)])
+    edge = kinds == 0  # within a fraction of a cell of a map edge
+    pos[edge, 0] = rng.choice([0.0, w], edge.sum()) + rng.normal(0.0, 0.2 * cs, edge.sum())
+    ring = kinds == 1  # outside the wall ring, where only the padding reaches
+    pos[ring, 1] = rng.choice([-1.0, 1.0], ring.sum()) * rng.uniform(cs, reach, ring.sum())
+    pos[ring, 1] += np.where(pos[ring, 1] > 0, h, 0.0)
+    grid = kinds == 2  # exactly on cell boundaries, or one ulp either side
+    snapped = np.round(pos[grid] / cs) * cs
+    pos[grid] = np.nextafter(snapped, snapped + rng.integers(-1, 2, snapped.shape))
+    return pos
+
+
+@pytest.mark.parametrize("cell_size", [1.0, 0.5, 1.3])
+@pytest.mark.parametrize("obstacle_range", [0.2, 0.35])
+def test_obstacle_table_matches_direct_search(cell_size, obstacle_range, monkeypatch):
+    monkeypatch.setattr(contacts, "BRUTE_FORCE_MAX_N", 0)  # the reference searched on the grid
+    params = ForceParameters(obstacle_range=obstacle_range)
+    rng = np.random.default_rng([int(cell_size * 10), int(obstacle_range * 100)])
+    doc = open_map(width=9, height=7, blocked=[[4, y] for y in range(5)] + [[7, 6], [1, 1]])
+    doc["cell_size_m"] = cell_size
+    env = scenario_from({"map": doc}).map
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        pos = awkward_positions(rng, env, n)
+        radii = rng.choice([0.15, 0.25, 0.45], size=n)
+        want = reference_obstacle_acceleration(env, pos, radii, params)
+        # a table sized for exactly these radii, and one for a larger type
+        for max_radius in (float(radii.max()), 0.6):
+            table = _build_obstacle_table(env, max_radius, params)
+            got = _obstacle_acceleration(table, pos, radii, params)
+            assert np.array_equal(got, want), (trial, max_radius)
+
+
+def test_obstacle_table_rejects_radius_beyond_its_reach():
+    env = scenario_from({"map": open_map()}).map
+    table = _build_obstacle_table(env, 0.25, ForceParameters())
+    with pytest.raises(ValueError, match="obstacle table"):
+        _obstacle_acceleration(table, np.array([[5.0, 5.0]]), np.array([0.5]), ForceParameters())
 
 
 # --- SimConfig validation ---------------------------------------------------------
@@ -469,3 +553,22 @@ def test_tick_length_override_scales_dwell():
     frames, _ = collect_frames(scenario_from(doc),
                                SimConfig(ticks=40, tick_length=0.5))
     assert sum(len(f) for f in frames) == 20
+
+
+def test_routes_are_memoised_per_start_and_goal(monkeypatch):
+    calls = []
+    real = routing.shortest_cell_path
+
+    def counting(env, start, goal):
+        calls.append((start, goal))
+        return real(env, start, goal)
+
+    monkeypatch.setattr(routing, "shortest_cell_path", counting)
+    sim = Simulation(busy_scenario(), SimConfig(ticks=100, seed=3))
+    sim.run()
+    assert calls, "the run should route"
+    assert len(calls) == len(set(calls))  # each (start, goal) is searched once
+    assert sorted(sim._routes) == sorted(calls)
+    for (start, goal), cells in sim._routes.items():
+        assert isinstance(cells, tuple)
+        assert cells == tuple(real(sim.env, start, goal)[0])
