@@ -8,7 +8,7 @@ matrices at the agent, agent-by-type and type-by-type levels.
 
 from .aggregate import (
     ContactMatrix,
-    PairSummary,
+    PairTable,
     agent_by_type,
     agent_matrix,
     effective_chunks,
@@ -36,8 +36,8 @@ from .engine import (
     run,
     social_force_step,
 )
-from .frames import TickFrame, TraceFormatError, read_frames, read_trace, write_frames
-from .report import build_bundle, build_matrices, write_bundle
+from .frames import TickFrame, TraceFormatError, read_frames, write_frames
+from .report import build_matrices, write_bundle
 from .routing import NoRouteError, plan_route, shortest_cell_path
 from .scenario import (
     Distribution,
@@ -61,7 +61,7 @@ __all__ = [
     "ForceParameters",
     "NoRouteError",
     "NonMonotonicTickError",
-    "PairSummary",
+    "PairTable",
     "Scenario",
     "ScenarioError",
     "SimConfig",
@@ -71,7 +71,6 @@ __all__ = [
     "TraceFormatError",
     "agent_by_type",
     "agent_matrix",
-    "build_bundle",
     "build_matrices",
     "effective_chunks",
     "hourly_series",
@@ -84,7 +83,6 @@ __all__ = [
     "parse_scenario",
     "plan_route",
     "read_frames",
-    "read_trace",
     "rescale_per_day",
     "run",
     "social_force_step",

@@ -2,8 +2,8 @@
 
 Levels:
 
-* pair summaries: per unordered agent pair, the number of contacts, the
-  total in-contact ticks and the duration-weighted mean distance;
+* the pair table: per unordered agent pair, the number of contacts, the
+  total in-contact ticks and the distance sum, as columns sorted by pair;
 * agent x agent matrices (diagonal undefined);
 * agent x type rows, where count and duration are divided by the number of
   potential partners of that type (the agent itself excluded);
@@ -14,6 +14,11 @@ A minimum-duration filter drops short records here, at reporting time.
 Logging itself is never filtered.  Cells that have no defined value (the
 agent diagonal, a type with nobody else to meet) carry an explicit
 undefined marker rather than a number.
+
+Every matrix is filled from the pair table by indexing and ``bincount``,
+which adds a cell's entries in the order they are listed; the builders list
+them in the order of a per-pair loop, so the float sums are bit-identical
+to it.
 
 Exposure: a duration matrix divided into fixed-length chunks gives the
 expected chunk count f per cell, and a per-chunk transmission probability p
@@ -41,24 +46,38 @@ def max_unique_contacts(n_a: int, n_b: int) -> int:
 
 
 @dataclass(frozen=True)
-class PairSummary:
-    """Aggregated contact history of one unordered agent pair."""
+class PairTable:
+    """Aggregated contact history of every unordered agent pair that met.
 
-    id_a: int
-    id_b: int
-    count: int
-    duration: int  # total in-contact ticks over all records
-    dist_sum: float  # sum of per-tick distances over all records
+    One row per pair, sorted by the key (id_a, id_b) with id_a < id_b:
+    ``count`` records, ``duration`` total in-contact ticks and ``dist_sum``
+    the sum of per-tick distances, each summed over the pair's records in
+    record order.
+    """
+
+    id_a: np.ndarray
+    id_b: np.ndarray
+    count: np.ndarray
+    duration: np.ndarray
+    dist_sum: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.id_a)
 
     @property
-    def mean_distance(self) -> float:
-        """Duration-weighted mean distance across the pair's records."""
+    def mean_distance(self) -> np.ndarray:
+        """Duration-weighted mean distance across each pair's records."""
         return self.dist_sum / self.duration
 
+    def row(self, id_a: int, id_b: int) -> int | None:
+        """Row of the pair (ids in either order), or None if it never met."""
+        keys = (self.id_a << 32) | self.id_b
+        key = (min(id_a, id_b) << 32) | max(id_a, id_b)
+        i = int(np.searchsorted(keys, key))
+        return i if i < len(keys) and keys[i] == key else None
 
-def pair_summaries(
-    ledger: ContactLedger, min_duration: int | None = None
-) -> dict[tuple[int, int], PairSummary]:
+
+def pair_summaries(ledger: ContactLedger, min_duration: int | None = None) -> PairTable:
     """Collapse records per pair, dropping records shorter than min_duration."""
     if not ledger.finalized:
         raise ValueError("finalize the ledger before aggregating")
@@ -67,19 +86,16 @@ def pair_summaries(
         raise ValueError("min_duration must be >= 1 tick")
     c = ledger.columns()
     keep = c["duration"] >= tau
-    if not keep.any():
-        return {}
-    a, b = c["id_a"][keep], c["id_b"][keep]
-    keys = (a << 32) | b
+    keys = (c["id_a"][keep] << 32) | c["id_b"][keep]
     uniq, inv = np.unique(keys, return_inverse=True)
-    count = np.bincount(inv, minlength=len(uniq))
-    dur = np.bincount(inv, weights=c["duration"][keep], minlength=len(uniq))
-    dsum = np.bincount(inv, weights=c["dist_sum"][keep], minlength=len(uniq))
-    out: dict[tuple[int, int], PairSummary] = {}
-    for i, key in enumerate(uniq.tolist()):
-        ia, ib = key >> 32, key & 0xFFFFFFFF
-        out[(ia, ib)] = PairSummary(ia, ib, int(count[i]), int(dur[i]), float(dsum[i]))
-    return out
+    n = len(uniq)
+    return PairTable(
+        id_a=uniq >> 32,
+        id_b=uniq & 0xFFFFFFFF,
+        count=np.bincount(inv, minlength=n),
+        duration=np.bincount(inv, weights=c["duration"][keep], minlength=n).astype(np.int64),
+        dist_sum=np.bincount(inv, weights=c["dist_sum"][keep], minlength=n),
+    )
 
 
 @dataclass
@@ -109,22 +125,25 @@ class ContactMatrix:
         )
 
     def to_csv(self) -> str:
-        """Labels in the first row and column; undefined cells left empty."""
+        """Labels in the first row and column; undefined cells left empty.
+
+        Cells are ``%.6g``.  Each distinct value is formatted once: values
+        are told apart by their bits, so -0.0 and 0.0 keep their own text.
+        """
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        bits, inv = np.unique(values.view(np.int64), return_inverse=True)
+        text = np.array([f"{v:.6g}" for v in bits.view(np.float64).tolist()] + [""],
+                        dtype=object)
+        cells = text[np.where(self.defined, inv.reshape(values.shape), len(bits))]
         lines = ["," + ",".join(self.col_labels)]
-        for i, label in enumerate(self.row_labels):
-            cells = [
-                _fmt(self.values[i, j]) if self.defined[i, j] else ""
-                for j in range(len(self.col_labels))
-            ]
-            lines.append(label + "," + ",".join(cells))
+        lines += [label + "," + ",".join(row)
+                  for label, row in zip(self.row_labels, cells.tolist())]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict[str, Any]:
-        values = [
-            [float(self.values[i, j]) if self.defined[i, j] else None
-             for j in range(len(self.col_labels))]
-            for i in range(len(self.row_labels))
-        ]
+        values = np.asarray(self.values, dtype=np.float64).tolist()
+        for i, j in zip(*np.nonzero(~self.defined)):
+            values[i][j] = None
         return {
             "level": self.level,
             "metric": self.metric,
@@ -132,10 +151,6 @@ class ContactMatrix:
             "col_labels": list(self.col_labels),
             "values": values,
         }
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.6g}"
 
 
 def matrix_from_csv(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
@@ -155,39 +170,75 @@ def matrix_from_csv(text: str) -> tuple[list[str], list[str], np.ndarray, np.nda
 # --- matrix builders ---------------------------------------------------------
 
 
-def agent_matrix(
-    summaries: Mapping[tuple[int, int], PairSummary],
-    agent_ids: Iterable[int],
-    metric: str,
-) -> ContactMatrix:
-    """Square agent-level matrix; 0 for pairs that never met, diagonal undefined."""
+def _check_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+
+
+def _positions(ids: np.ndarray, pairs: PairTable) -> tuple[np.ndarray, np.ndarray]:
+    """Index into ``ids`` of each pair's two agents.
+
+    The ValueError names the first agent ``ids`` lacks, in key order and
+    id_a before id_b.
+    """
+    order = np.argsort(ids, kind="stable")
+    srt = np.append(ids[order], np.iinfo(np.int64).max)  # sentinel keeps positions in range
+    pos_a, pos_b = np.searchsorted(srt, pairs.id_a), np.searchsorted(srt, pairs.id_b)
+    ok_a, ok_b = srt[pos_a] == pairs.id_a, srt[pos_b] == pairs.id_b
+    if not (ok_a.all() and ok_b.all()):
+        k = int(np.argmin(ok_a & ok_b))
+        missing = pairs.id_b[k] if ok_a[k] else pairs.id_a[k]
+        raise ValueError(f"summary references unknown agent {missing}")
+    return order[pos_a], order[pos_b]
+
+
+def _type_positions(
+    agent_types: Mapping[int, str], type_names: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Agent ids in mapping order and the column of each one's type."""
+    t_index = {t: j for j, t in enumerate(type_names)}
+    for aid, t in agent_types.items():
+        if t not in t_index:
+            raise ValueError(f"agent {aid} has type {t!r} missing from populations")
+    ids = np.fromiter(agent_types, dtype=np.int64, count=len(agent_types))
+    own = np.fromiter((t_index[t] for t in agent_types.values()), dtype=np.int64,
+                      count=len(agent_types))
+    return ids, own
+
+
+def _metric_columns(pairs: PairTable, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair numerator of a metric and its duration weight, as float64."""
+    value = {"count": pairs.count, "duration": pairs.duration, "distance": pairs.dist_sum}
+    return value[metric].astype(np.float64), pairs.duration.astype(np.float64)
+
+
+def _cell_sums(
+    cells: np.ndarray, columns: Iterable[np.ndarray], shape: tuple[int, int]
+) -> list[np.ndarray]:
+    """Sum each column into its flat cell; bincount adds a cell's entries in listed order."""
+    n = shape[0] * shape[1]
+    return [np.bincount(cells, weights=col, minlength=n).reshape(shape) for col in columns]
+
+
+def agent_matrix(pairs: PairTable, agent_ids: Iterable[int], metric: str) -> ContactMatrix:
+    """Square agent-level matrix; 0 for pairs that never met, diagonal undefined."""
+    _check_metric(metric)
     ids = list(agent_ids)
-    index = {v: i for i, v in enumerate(ids)}
-    if len(index) != len(ids):
+    if len(set(ids)) != len(ids):
         raise ValueError("agent ids must be unique")
+    i, j = _positions(np.array(ids, dtype=np.int64), pairs)
     m = len(ids)
     values = np.zeros((m, m), dtype=np.float64)
-    for s in summaries.values():
-        try:
-            i, j = index[s.id_a], index[s.id_b]
-        except KeyError as e:
-            raise ValueError(f"summary references unknown agent {e.args[0]}") from None
-        if metric == "count":
-            v = float(s.count)
-        elif metric == "duration":
-            v = float(s.duration)
-        else:
-            v = s.mean_distance
-        values[i, j] = values[j, i] = v
+    col = pairs.mean_distance if metric == "distance" else _metric_columns(pairs, metric)[0]
+    values[i, j] = col
+    values[j, i] = col
     defined = ~np.eye(m, dtype=bool)
     labels = [str(v) for v in ids]
     return ContactMatrix("agent", metric, labels, labels, values, defined)
 
 
 def agent_by_type(
-    summaries: Mapping[tuple[int, int], PairSummary],
+    pairs: PairTable,
     agent_types: Mapping[int, str],
     populations: Mapping[str, int],
     metric: str,
@@ -199,37 +250,19 @@ def agent_by_type(
     partner is undefined.  Distance cells are duration-weighted means over
     the partners actually contacted, 0 when there were none.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    ids = list(agent_types)
+    _check_metric(metric)
     type_names = list(populations)
-    t_index = {t: j for j, t in enumerate(type_names)}
-    for aid, t in agent_types.items():
-        if t not in t_index:
-            raise ValueError(f"agent {aid} has type {t!r} missing from populations")
+    ids, own = _type_positions(agent_types, type_names)
+    ia, ib = _positions(ids, pairs)
     m, k = len(ids), len(type_names)
-    num = np.zeros((m, k), dtype=np.float64)
-    wsum = np.zeros((m, k), dtype=np.float64)  # duration weights for distance cells
-    row = {aid: i for i, aid in enumerate(ids)}
-    for s in summaries.values():
-        for me, other in ((s.id_a, s.id_b), (s.id_b, s.id_a)):
-            i = row.get(me)
-            if i is None:
-                raise ValueError(f"summary references unknown agent {me}")
-            j = t_index[agent_types[other]]
-            if metric == "count":
-                num[i, j] += s.count
-            elif metric == "duration":
-                num[i, j] += s.duration
-            else:
-                num[i, j] += s.dist_sum
-                wsum[i, j] += s.duration
+    # A row adds its pairs as id_b first, then as id_a, each in key order:
+    # the order a per-pair loop over (a, b) then (b, a) visits them.
+    cells = np.concatenate([ib * k + own[ia], ia * k + own[ib]])
+    num, wsum = _cell_sums(cells, [np.tile(x, 2) for x in _metric_columns(pairs, metric)], (m, k))
 
-    denom = np.empty((m, k), dtype=np.float64)
-    for i, aid in enumerate(ids):
-        for j, t in enumerate(type_names):
-            pot = populations[t] - (1 if agent_types[aid] == t else 0)
-            denom[i, j] = pot
+    pops = np.array([populations[t] for t in type_names], dtype=np.float64)
+    denom = np.tile(pops, (m, 1))
+    denom[np.arange(m), own] -= 1  # the agent itself is no potential partner
     defined = denom > 0
     values = np.zeros((m, k), dtype=np.float64)
     if metric == "distance":
@@ -238,12 +271,12 @@ def agent_by_type(
     else:
         values[defined] = num[defined] / denom[defined]
     return ContactMatrix(
-        "agent_by_type", metric, [str(v) for v in ids], type_names, values, defined
+        "agent_by_type", metric, [str(v) for v in agent_types], type_names, values, defined
     )
 
 
 def type_matrix(
-    summaries: Mapping[tuple[int, int], PairSummary],
+    pairs: PairTable,
     agent_types: Mapping[int, str],
     populations: Mapping[str, int],
     metric: str,
@@ -255,33 +288,18 @@ def type_matrix(
     undefined when the type has fewer than two members.  Distance cells are
     duration-weighted means over all records between the two groups.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    _check_metric(metric)
     type_names = list(populations)
-    t_index = {t: j for j, t in enumerate(type_names)}
+    ids, own = _type_positions(agent_types, type_names)
+    ia, ib = _positions(ids, pairs)
     k = len(type_names)
-    num = np.zeros((k, k), dtype=np.float64)
-    wsum = np.zeros((k, k), dtype=np.float64)
-    for s in summaries.values():
-        ta = agent_types.get(s.id_a)
-        tb = agent_types.get(s.id_b)
-        if ta is None or tb is None:
-            missing = s.id_a if ta is None else s.id_b
-            raise ValueError(f"summary references unknown agent {missing}")
-        i, j = t_index[ta], t_index[tb]
-        if metric == "count":
-            v = float(s.count)
-        elif metric == "duration":
-            v = float(s.duration)
-        else:
-            v = s.dist_sum
-        num[i, j] += v
-        if i != j:
-            num[j, i] += v
-        if metric == "distance":
-            wsum[i, j] += s.duration
-            if i != j:
-                wsum[j, i] += s.duration
+    ta, tb = own[ia], own[ib]
+    # each unordered cell sums its pairs in key order, then is mirrored
+    cells = np.minimum(ta, tb) * k + np.maximum(ta, tb)
+    num, wsum = _cell_sums(cells, _metric_columns(pairs, metric), (k, k))
+    lower = np.tril_indices(k, -1)
+    num[lower] = num.T[lower]
+    wsum[lower] = wsum.T[lower]
 
     pops = np.array([populations[t] for t in type_names], dtype=np.float64)
     denom = np.outer(pops, pops)
@@ -319,25 +337,32 @@ def hourly_series(
     first = ledger.first_tick if ledger.first_tick is not None else 0
     horizon = ledger.horizon if ledger.horizon is not None else 0
     n_buckets = max(1, -(-(first + horizon) // bucket_length))
-    series = {
-        (a, b): np.zeros(n_buckets, dtype=np.int64)
-        for x, a in enumerate(type_names)
-        for b in type_names[x:]
-    }
+    k = len(type_names)
+    keys = [(a, b) for x, a in enumerate(type_names) for b in type_names[x:]]
+
     c = ledger.columns()
-    names = ledger.type_names
-    for i in range(ledger.n_records):
-        ta, tb = names[c["type_a"][i]], names[c["type_b"][i]]
-        key = (ta, tb) if (ta, tb) in series else (tb, ta)
-        if key not in series:
-            raise ValueError(f"record involves type {ta!r} or {tb!r} missing from populations")
-        start, last = int(c["start"][i]), int(c["last"][i])
-        vec = series[key]
-        for bucket in range(start // bucket_length, last // bucket_length + 1):
-            lo = max(start, bucket * bucket_length)
-            hi = min(last, (bucket + 1) * bucket_length - 1)
-            vec[bucket] += hi - lo + 1
-    return series
+    t_index = {t: x for x, t in enumerate(type_names)}
+    column_of = np.array([t_index.get(t, -1) for t in ledger.type_names], dtype=np.int64)
+    xa, xb = column_of[c["type_a"]], column_of[c["type_b"]]
+    missing = (xa < 0) | (xb < 0)
+    if missing.any():
+        i = int(np.argmax(missing))
+        ta, tb = ledger.type_names[c["type_a"][i]], ledger.type_names[c["type_b"][i]]
+        raise ValueError(f"record involves type {ta!r} or {tb!r} missing from populations")
+    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+    key_of = lo * k - lo * (lo - 1) // 2 + (hi - lo)  # position of (lo, hi) in keys
+
+    # one entry per (record, bucket it overlaps), holding the ticks inside
+    start, last = c["start"], c["last"]
+    first_bucket = start // bucket_length
+    spans = last // bucket_length - first_bucket + 1
+    rec = np.repeat(np.arange(len(start)), spans)
+    bucket = first_bucket[rec] + np.arange(len(rec)) - np.repeat(np.cumsum(spans) - spans, spans)
+    ticks = (np.minimum(last[rec], (bucket + 1) * bucket_length - 1)
+             - np.maximum(start[rec], bucket * bucket_length) + 1)
+    totals = np.zeros((len(keys), n_buckets), dtype=np.int64)
+    np.add.at(totals, (key_of[rec], bucket), ticks)
+    return dict(zip(keys, totals))
 
 
 # --- exposure ----------------------------------------------------------------

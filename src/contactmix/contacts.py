@@ -267,9 +267,12 @@ class ContactLedger:
     # -- the per-tick update -------------------------------------------------
 
     def observe(self, frame: TickFrame) -> None:
-        """Fold one frame into the ledger (dense ticks required)."""
+        """Fold one frame into the ledger (dense ticks and finite positions required)."""
         if self.finalized:
             raise ValueError("ledger is finalized")
+        if not np.isfinite(frame.positions).all():
+            bad = frame.ids[np.argmin(np.isfinite(frame.positions).all(axis=1))]
+            raise ValueError(f"tick {frame.tick}: agent {bad} has a non-finite position")
         if self.last_tick is None:
             self.first_tick = frame.tick
         elif frame.tick != self.last_tick + 1:

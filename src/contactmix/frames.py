@@ -3,13 +3,15 @@
 One line per present agent: ``tick,agent_id,type_name,x_m,y_m``.  A header
 line is optional.  Ticks must be dense integers starting at 0; a tick with no
 agents on site is written as a placeholder line with empty agent columns
-(``7,,,,``) so density stays checkable.  Malformed or out-of-order lines are
-rejected with their line number.
+(``7,,,,``) so density stays checkable.  Malformed or out-of-order lines,
+and positions that are not finite numbers, are rejected with their line
+number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -131,6 +133,8 @@ def read_frames(lines: Iterable[str]) -> Iterator[TickFrame]:
             x, y = float(parts[3]), float(parts[4])
         except ValueError:
             raise TraceFormatError(line_no, "positions must be numbers") from None
+        if not (isfinite(x) and isfinite(y)):
+            raise TraceFormatError(line_no, f"position ({parts[3]}, {parts[4]}) is not finite")
         if type_name not in type_index:
             type_index[type_name] = len(type_names)
             type_names.append(type_name)
@@ -141,8 +145,3 @@ def read_frames(lines: Iterable[str]) -> Iterator[TickFrame]:
 
     if cur_tick is not None:
         yield flush()
-
-
-def read_trace(path: str) -> list[TickFrame]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(read_frames(fh))

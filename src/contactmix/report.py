@@ -37,21 +37,20 @@ def build_matrices(
     byte-identical files even though they discover the types in a
     different order.
     """
-    summaries = pair_summaries(ledger)
+    pairs = pair_summaries(ledger)
     roster = ledger.agents()
     agent_types = {aid: ledger.type_names[t] for aid, t in roster.items()}
-    pops = {name: populations[name] for name in sorted(populations)}
+    pops = _canonical(populations)
     out: dict[str, ContactMatrix] = {}
     for metric in METRICS:
-        out[f"agent_{metric}"] = agent_matrix(summaries, sorted(roster), metric)
-        out[f"agent_by_type_{metric}"] = agent_by_type(
-            summaries, agent_types, pops, metric
-        )
-        out[f"type_{metric}"] = type_matrix(summaries, agent_types, pops, metric)
+        out[f"agent_{metric}"] = agent_matrix(pairs, sorted(roster), metric)
+        out[f"agent_by_type_{metric}"] = agent_by_type(pairs, agent_types, pops, metric)
+        out[f"type_{metric}"] = type_matrix(pairs, agent_types, pops, metric)
     return out
 
 
-def _sorted_pops(populations: Mapping[str, int]) -> dict[str, int]:
+def _canonical(populations: Mapping[str, int]) -> dict[str, int]:
+    """Populations with type names sorted: the order of every type axis."""
     return {name: populations[name] for name in sorted(populations)}
 
 
@@ -88,23 +87,9 @@ def _assemble(
         "transmission_probability": prob.to_json_obj(),
         "hourly_series": {
             "bucket_length_ticks": bucket_length,
-            "series": {_series_label(p): [int(v) for v in vec] for p, vec in series.items()},
+            "series": {_series_label(p): vec.tolist() for p, vec in series.items()},
         },
     }
-
-
-def build_bundle(
-    ledger: ContactLedger,
-    populations: Mapping[str, int],
-    manifest: Mapping[str, Any],
-    base_p: float,
-    bucket_length: int,
-) -> dict[str, Any]:
-    matrices = build_matrices(ledger, populations)
-    chunks = effective_chunks(matrices["type_duration"], ledger.config.chunk_length)
-    prob = transmission_probability(chunks, base_p)
-    series = hourly_series(ledger, bucket_length, _sorted_pops(populations))
-    return _assemble(matrices, chunks, prob, series, manifest, bucket_length)
 
 
 def write_bundle(
@@ -121,7 +106,7 @@ def write_bundle(
     matrices = build_matrices(ledger, populations)
     chunks = effective_chunks(matrices["type_duration"], ledger.config.chunk_length)
     prob = transmission_probability(chunks, base_p)
-    series = hourly_series(ledger, bucket_length, _sorted_pops(populations))
+    series = hourly_series(ledger, bucket_length, _canonical(populations))
 
     for key, m in matrices.items():
         (out / f"{key}.csv").write_text(m.to_csv(), encoding="utf-8")

@@ -68,26 +68,26 @@ def test_max_unique_contacts_rejects_negative():
 
 def test_golden_pair_summaries(golden, golden_expect):
     led = golden_ledger(golden)
-    summaries = pair_summaries(led)
+    pairs = pair_summaries(led)
     for name, (count, dur, dist) in golden_expect.host_pairs.items():
-        key = (0, GOLDEN_IDS[name])
-        s = summaries[key]
-        assert s.count == count
-        assert s.duration == dur
-        assert s.mean_distance == pytest.approx(dist, abs=1e-9)
+        i = pairs.row(0, GOLDEN_IDS[name])
+        assert pairs.row(GOLDEN_IDS[name], 0) == i
+        assert pairs.count[i] == count
+        assert pairs.duration[i] == dur
+        assert pairs.mean_distance[i] == pytest.approx(dist, abs=1e-9)
     # pairs with no contact never appear
-    assert (0, GOLDEN_IDS["G1"]) not in summaries
-    assert (0, GOLDEN_IDS["Y2"]) not in summaries
+    assert pairs.row(0, GOLDEN_IDS["G1"]) is None
+    assert pairs.row(0, GOLDEN_IDS["Y2"]) is None
 
 
 def test_min_duration_filter(golden):
     led = golden_ledger(golden)
     s2 = pair_summaries(led, min_duration=2)
-    assert (0, GOLDEN_IDS["Y1"]) not in s2  # both records are 1 tick
+    assert s2.row(0, GOLDEN_IDS["Y1"]) is None  # both records are 1 tick
     for name in ("G2", "B1", "B3"):
-        assert (0, GOLDEN_IDS[name]) in s2
+        assert s2.row(0, GOLDEN_IDS[name]) is not None
     s4 = pair_summaries(led, min_duration=4)
-    assert s4 == {}
+    assert len(s4) == 0
     with pytest.raises(ValueError):
         pair_summaries(led, min_duration=0)
 
@@ -97,9 +97,11 @@ def test_filter_monotonicity(golden):
     prev = pair_summaries(led, min_duration=1)
     for tau in (2, 3, 4):
         cur = pair_summaries(led, min_duration=tau)
-        for key, s in cur.items():
-            assert s.count <= prev[key].count
-            assert s.duration <= prev[key].duration
+        for i in range(len(cur)):
+            j = prev.row(cur.id_a[i], cur.id_b[i])
+            assert j is not None
+            assert cur.count[i] <= prev.count[j]
+            assert cur.duration[i] <= prev.duration[j]
         prev = cur
 
 
@@ -267,11 +269,12 @@ def test_type_matrix_symmetry_and_conservation_random():
             if ta == tb:
                 continue
             raw_dur = raw_cnt = 0
-            for (i, j), s in summaries.items():
+            for i, j, dur, cnt in zip(summaries.id_a.tolist(), summaries.id_b.tolist(),
+                                      summaries.duration.tolist(), summaries.count.tolist()):
                 pair = {agent_types[i], agent_types[j]}
                 if pair == {ta, tb}:
-                    raw_dur += s.duration
-                    raw_cnt += s.count
+                    raw_dur += dur
+                    raw_cnt += cnt
             assert m.cell(ta, tb) * pops[ta] * pops[tb] == pytest.approx(
                 raw_dur, abs=1e-9
             )

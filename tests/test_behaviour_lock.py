@@ -5,6 +5,11 @@ exact bytes a seeded run produces, so a change that claims to keep behaviour
 (a refactor, a faster neighbour search) must leave them unchanged.  A change
 that alters output on purpose re-pins them and says why in CHANGES.md.
 
+The ingest digests cover ``ingest-trace`` on a generated trace that takes
+the grid detection path (more than 128 wearers), spans several hour buckets
+with records crossing bucket edges, and lists wearers in an order that is
+not id order (agent-by-type rows follow first appearance).
+
 Regenerate with ``python tests/test_behaviour_lock.py`` (``PYTHONPATH=src``)
 and paste the printed dictionaries over the pinned ones.
 """
@@ -57,6 +62,25 @@ MIXING_DIGESTS = {
 }
 
 
+INGEST_DIGESTS = {
+    "agent_by_type_count.csv": "47b5a25564e5551692b3696e77854d184224533f8f73eecfe9a33e0584902521",
+    "agent_by_type_distance.csv": "3574dd01cd5855c36e5f2fd710720a008a19d6ffeded0e6007ea635083295d4c",
+    "agent_by_type_duration.csv": "209d409c1ed3e7f6c2178c0416d770ff5a01b89d81f26ea6a799a30a6f2d3e42",
+    "agent_count.csv": "597fee7e05cb974741b3fdb844b79b336cafe07b14d61f7947965528bdcafb6a",
+    "agent_distance.csv": "06fb2fbe0e00c8c41863f8e8881ed961d844f808a499a906c1cce7c9d867e5d0",
+    "agent_duration.csv": "6ce668bfc642d7b070e21e2b02f8690fc5b7186cde1fc7578c6c29152cf7271d",
+    "bundle.json": "4aeb45b1f1e18fc81092d91a25e68618c18c5ecc61754157db3050645fbd1d9f",
+    "effective_chunks.csv": "7a3a49e0b29a30849dfd18ecaf776a334523cd5346d33daf91bf091392880182",
+    "hourly_series.csv": "ba0125d1666873cb77156cf1208cdf1c339cac1f27849fef1a0ae62ee45074f6",
+    "manifest.json": "507d6b5bbd90865d7de376d897ee3535aa5cc265e15fa040c1c02c4ca6f83a82",
+    "trace.csv": "17537951b3cb3735a9ae83d8f8f043eb654cb45511e57956b01a95a59d0f1734",
+    "transmission_probability.csv": "4c95bdee0f55e846e4a77e33d9e6e29ca1c3c0976ad6d79aa1be6ab279e38b98",
+    "type_count.csv": "05a364e24ed2fbda80c6faee693b81c0e4bdacf154951b7ad2c27568695e6cb0",
+    "type_distance.csv": "bfa1f58d71c3c2430966b36f65dfcc123193cada3e37988f44d323da7b70f04c",
+    "type_duration.csv": "be92136dbdb5e194a2187de5212da8a3b6ad2fd4d02ae68f9a8b6a200f9296b8",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -74,6 +98,51 @@ def clinic_digests(workdir: Path) -> dict[str, str]:
     assert code == EXIT_OK
     out = workdir / "out"
     return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+INGEST_WEARERS = 150  # above BRUTE_FORCE_MAX_N, so detection uses the grid
+INGEST_TICKS = 240  # four 60-tick buckets at a 60 s tick
+INGEST_TYPES = ("porter", "nurse", "patient", "doctor")
+
+
+def ingest_trace_text() -> str:
+    """A seeded badge trace: staggered shifts, random ids, slow random walk.
+
+    Only ``integers``, ``permutation`` and ``random`` draw from the
+    generator, and positions are written with three decimals, so the text
+    is the same on every platform.
+    """
+    rng = np.random.default_rng(20261018)
+    ids = rng.permutation(5 * INGEST_WEARERS)[:INGEST_WEARERS]
+    types = rng.integers(0, len(INGEST_TYPES), size=INGEST_WEARERS)
+    arrive = rng.integers(0, 30, size=INGEST_WEARERS)
+    leave = rng.integers(200, INGEST_TICKS + 40, size=INGEST_WEARERS)
+    pos = rng.random((INGEST_WEARERS, 2)) * 18.0
+    lines = ["tick,agent_id,type_name,x_m,y_m"]
+    for tick in range(INGEST_TICKS):
+        pos = np.clip(pos + (rng.random(pos.shape) - 0.5) * 0.8, 0.0, 18.0)
+        for k in rng.permutation(INGEST_WEARERS):
+            if arrive[k] <= tick < leave[k]:
+                x, y = pos[k]
+                lines.append(f"{tick},{ids[k]},{INGEST_TYPES[types[k]]},{x:.3f},{y:.3f}")
+    return "\n".join(lines) + "\n"
+
+
+def ingest_digests(workdir: Path) -> dict[str, str]:
+    """The trace and every bundle file of ``ingest-trace`` on it."""
+    trace = workdir / "trace.csv"
+    trace.write_text(ingest_trace_text(), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main(["ingest-trace", "--trace", "trace.csv", "--tick-length-s", "60",
+                     "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    assert code == EXIT_OK
+    digests = {p.name: _sha(p.read_bytes()) for p in sorted((workdir / "out").iterdir())}
+    digests["trace.csv"] = _sha(trace.read_bytes())
+    return digests
 
 
 def mixing_digests() -> dict[str, str]:
@@ -94,6 +163,10 @@ def test_mixing_ledger_columns_are_locked():
     assert mixing_digests() == MIXING_DIGESTS
 
 
+def test_ingest_bundle_is_locked(tmp_path):
+    assert ingest_digests(tmp_path) == INGEST_DIGESTS
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -101,3 +174,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(clinic_digests(Path(tmp)))
     pprint.pprint(mixing_digests())
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(ingest_digests(Path(tmp)))

@@ -265,6 +265,20 @@ def test_ingest_tick_jump_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_ingest_non_finite_position_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "tick,agent_id,type_name,x_m,y_m\n"
+        "0,1,red,0.0,0.0\n"
+        "0,2,red,nan,0.5\n",
+        encoding="utf-8",
+    )
+    code = run_cli("ingest-trace", "--trace", path, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_missing_trace_exits_3(tmp_path):
     code = run_cli("ingest-trace", "--trace", tmp_path / "nope.csv",
                    "--out", tmp_path / "o")

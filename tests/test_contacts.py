@@ -373,6 +373,25 @@ def test_trace_bad_field_reports_line():
         list(read_frames(io.StringIO(text)))
 
 
+@pytest.mark.parametrize("x, y", [("nan", "0.0"), ("0.0", "inf"), ("-Infinity", "1.5")])
+def test_trace_non_finite_position_reports_line(x, y):
+    text = f"0,0,a,0.0,0.0\n0,1,a,{x},{y}\n"
+    with pytest.raises(TraceFormatError, match="line 2: position .* is not finite"):
+        list(read_frames(io.StringIO(text)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observe_rejects_non_finite_position(bad):
+    led = make_ledger()
+    led.observe(frame(0, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="tick 1: agent 9 has a non-finite position"):
+        led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, bad]]))
+    # the rejected frame left the ledger untouched: tick 1 is still next
+    led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
+    led.finalize(1)
+    assert [r.duration for r in led.records()] == [2]
+
+
 def test_trace_duplicate_agent_rejected():
     text = "0,7,a,0.0,0.0\n0,7,a,1.0,1.0\n"
     with pytest.raises(TraceFormatError, match="line 2"):
