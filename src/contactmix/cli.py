@@ -3,8 +3,8 @@
 ``contactmix run`` simulates a scenario and writes the contact-matrix
 bundle; ``contactmix ingest-trace`` replays a recorded position trace
 through the same contact pipeline.  Exit codes: 0 success, 1 invalid input
-(scenario, trace or usage), 2 a fault during simulation (for example an
-unreachable location), 3 an I/O failure.
+(scenario, trace or usage), 2 a fault during simulation (an unreachable
+location or a capacity deadlock), 3 an I/O failure.
 """
 
 from __future__ import annotations

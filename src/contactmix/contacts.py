@@ -112,6 +112,21 @@ def _grid_candidates(positions: np.ndarray, radius: float) -> tuple[np.ndarray, 
     return order[np.concatenate(parts_i)], order[np.concatenate(parts_j)]
 
 
+def offsets_within(
+    cand_i: np.ndarray, cand_j: np.ndarray, px: np.ndarray, py: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distance test of ``pairs_within`` on candidate pairs.
+
+    Returns (dx, dy, d2, within): the offsets p[i] - p[j], their squared
+    length, and the mask d2 <= radius**2.  Callers that filter candidates
+    with it keep exactly the pairs, and the distances, a search would.
+    """
+    dx = px[cand_i] - px[cand_j]
+    dy = py[cand_i] - py[cand_j]
+    d2 = dx * dx + dy * dy
+    return dx, dy, d2, d2 <= radius * radius
+
+
 def pairs_within(
     ids: np.ndarray, positions: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,10 +155,7 @@ def pairs_within(
 
     # component-wise gathers beat 2-D row gathers on this hot path
     px, py = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
-    dx = px[cand_i] - px[cand_j]
-    dy = py[cand_i] - py[cand_j]
-    d2 = dx * dx + dy * dy
-    in_range = d2 <= radius * radius
+    _, _, d2, in_range = offsets_within(cand_i, cand_j, px, py, radius)
     cand_i, cand_j = cand_i[in_range], cand_j[in_range]
     dist = np.sqrt(d2[in_range])
 

@@ -16,17 +16,30 @@ Walls never move, so the wall search is a table built once per simulation
 padded beyond the wall ring, the walls within the largest force cutoff of
 that cell.  A substep gathers each agent's candidates from its own cell and
 applies the exact distance cutoff, keeping (agent, wall) ascending order so
-forces are summed in a fixed order.  Agent-agent pairs come from
-``pairs_within``, which below a crossover size checks every pair directly.
-Routes are memoised per (start cell, goal cell); A* on a static map always
-returns the same path.
+forces are summed in a fixed order.
+
+Agent-agent pairs come from a neighbour list with a skin (Verlet 1967),
+built once per tick by ``pairs_within`` at the force cutoff plus
+2 * max_speed_factor * max(v0) * tick_length, widened by a few ulps.  No pair
+outside that radius can come within the cutoff during the tick: a substep
+moves an agent by at most dt times its capped speed, and containment only
+shortens a step.  Each substep keeps the listed pairs within the cutoff by
+the distance test of ``pairs_within``, so it sees the pairs, distances and
+(a, b) order a fresh search would.  Forces are summed with ``np.bincount``,
+which adds in input order: per axis, each agent's relaxation term, then +f
+on every pair's first agent, then -f on every second agent, in pair order;
+wall forces are summed from zero the same way and then added.  Routes are
+memoised per (start cell, goal cell); A* on a static map always returns the
+same path.
 
 Capacity is slot accounting: an agent heading to a full location keeps the
 location's cells off-limits for itself and piles up at the boundary until a
 slot frees.  Slots map to berth points (the anchor first, then the other
 cells, then deterministic offsets), so simultaneous occupants never share an
 exact position.  Agents passing through on the way to somewhere else are not
-gated.
+gated.  Queueing agents keep their slot while they wait for the next one; when
+such holders wait on each other in a cycle, the run stops with a
+``SimulationFault`` naming them.
 
 Everything is deterministic for a given (scenario, config): per-agent random
 streams are seeded from (seed, agent index), and all iteration orders are
@@ -43,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import routing
-from .contacts import pairs_within
+from .contacts import offsets_within, pairs_within
 from .frames import TickFrame
 from .scenario import (
     Cycle,
@@ -70,6 +83,18 @@ class ForceParameters:
     obstacle_strength: float = 10.0  # m/s^2
     obstacle_range: float = 0.2  # m
     max_speed_factor: float = 1.3  # cap = factor * desired speed
+
+    def __post_init__(self) -> None:
+        # the speed cap also bounds how far an agent moves in a tick, which
+        # the per-tick neighbour list relies on
+        for name in ("relaxation_time", "repulsion_range", "obstacle_range", "max_speed_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("repulsion_strength", "obstacle_strength"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -279,24 +304,68 @@ def _obstacle_acceleration(
     count = np.zeros(n, dtype=np.int64)
     first[inside] = table.starts[key]
     count[inside] = table.starts[key + 1] - first[inside]
-    # agents ascending, each agent's walls ascending: the order np.add.at sums in
+    # agents ascending, each agent's walls ascending: the order bincount sums in
     agent = np.repeat(np.arange(n, dtype=np.int64), count)
     shift = np.repeat(first - (np.cumsum(count) - count), count)
     cell = table.idx[np.arange(len(agent), dtype=np.int64) + shift]
-    dx = pos[agent, 0] - table.cx[cell]
-    dy = pos[agent, 1] - table.cy[cell]
+    px = pos[agent, 0]
+    py = pos[agent, 1]
+    dx = px - table.cx[cell]
+    dy = py - table.cy[cell]
     keep = dx * dx + dy * dy <= radius * radius
     if not keep.any():
         return acc
-    agent = agent[keep]
-    cell = cell[keep]
-    closest = np.clip(pos[agent], table.lo[cell], table.hi[cell])
-    dvec = pos[agent] - closest
-    d = np.hypot(dvec[:, 0], dvec[:, 1])
+    agent, cell, px, py = agent[keep], cell[keep], px[keep], py[keep]
+    # offset from the closest point of the wall rectangle
+    ox = px - np.clip(px, table.lo[cell, 0], table.hi[cell, 0])
+    oy = py - np.clip(py, table.lo[cell, 1], table.hi[cell, 1])
+    d = np.hypot(ox, oy)
     nz = d > _EPS  # agents never sit inside a blocked cell
-    mag = params.obstacle_strength * np.exp((radii[agent[nz]] - d[nz]) / params.obstacle_range)
-    np.add.at(acc, agent[nz], (mag / d[nz])[:, None] * dvec[nz])
+    agent, ox, oy, d = agent[nz], ox[nz], oy[nz], d[nz]
+    scale = params.obstacle_strength * np.exp((radii[agent] - d) / params.obstacle_range) / d
+    acc[:, 0] = np.bincount(agent, scale * ox, minlength=n)
+    acc[:, 1] = np.bincount(agent, scale * oy, minlength=n)
     return acc
+
+
+def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
+    """Distance beyond which agent-agent repulsion is ignored."""
+    return 2.0 * float(radii.max()) + 8.0 * params.repulsion_range
+
+
+def _skin_radius(
+    cutoff: float,
+    positions: np.ndarray,
+    desired_speeds: np.ndarray,
+    params: ForceParameters,
+    tick_length: float,
+    substeps: int,
+) -> float:
+    """Search radius that finds, at the start of a tick, every pair that comes
+    within ``cutoff`` at any substep of it.
+
+    A substep moves an agent by at most dt times its capped speed, and
+    containment only shortens that step, so two agents close in by at most
+    2 * max_speed_factor * max(v0) * tick_length over the tick.  The slack
+    covers float rounding: relative on the distances, and a few ulps of the
+    largest coordinate on every position update.
+    """
+    travel = 2.0 * params.max_speed_factor * float(np.abs(desired_speeds).max()) * tick_length
+    span = cutoff + travel + substeps * (float(np.abs(positions).max()) + travel)
+    return cutoff + travel + 64.0 * np.finfo(np.float64).eps * span
+
+
+def _near_pairs(
+    cand_a: np.ndarray, cand_b: np.ndarray, pos: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs within ``cutoff``: (a, b, dx, dy, distance).
+
+    Uses the distance test of ``pairs_within``, so from candidates sorted by
+    (a, b) it returns the bytes ``pairs_within`` would, plus the offsets
+    dx, dy = pos[a] - pos[b].
+    """
+    dx, dy, d2, keep = offsets_within(cand_a, cand_b, pos[:, 0], pos[:, 1], cutoff)
+    return cand_a[keep], cand_b[keep], dx[keep], dy[keep], np.sqrt(d2[keep])
 
 
 def social_force_step(
@@ -311,13 +380,16 @@ def social_force_step(
     moving: np.ndarray | None = None,
     forbidden: np.ndarray | None = None,
     _obstacles: _ObstacleTable | None = None,
+    _candidates: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler substep; returns (positions, velocities) as new arrays.
 
     Agents outside ``moving`` stay frozen but still repel the others.  With
     an environment, blocked cells repel and the step is truncated so nobody
     ends up inside one; ``forbidden`` optionally names one location index per
-    agent whose cells that agent may not enter.
+    agent whose cells that agent may not enter.  ``_candidates`` is a
+    superset of the agent pairs within the force cutoff, sorted by (a, b);
+    without it the step searches for them.
     """
     n = len(positions)
     pos = np.array(positions, dtype=np.float64)
@@ -329,27 +401,29 @@ def social_force_step(
     if not moving.any():
         return pos, vel
 
-    acc = np.zeros((n, 2))
     delta = targets - pos
     dist = np.hypot(delta[:, 0], delta[:, 1])
     ehat = np.zeros_like(delta)
     far = dist > _EPS
     ehat[far] = delta[far] / dist[far, None]
-    acc += (desired_speeds[:, None] * ehat - vel) / params.relaxation_time
+    relax = (desired_speeds[:, None] * ehat - vel) / params.relaxation_time
 
-    cutoff = 2.0 * float(radii.max()) + 8.0 * params.repulsion_range
-    ia, ib, d = pairs_within(np.arange(n, dtype=np.int64), pos, cutoff)
-    if len(ia):
-        dvec = pos[ia] - pos[ib]
-        dirs = np.zeros_like(dvec)
-        nz = d > _EPS
-        dirs[nz] = dvec[nz] / d[nz, None]
-        for k in np.nonzero(~nz)[0]:
-            dirs[k] = _pair_direction(int(ia[k]), int(ib[k]))
-        mag = params.repulsion_strength * np.exp((radii[ia] + radii[ib] - d) / params.repulsion_range)
-        f = mag[:, None] * dirs
-        np.add.at(acc, ia, f)
-        np.add.at(acc, ib, -f)
+    cutoff = _agent_cutoff(radii, params)
+    if _candidates is None:
+        _candidates = pairs_within(np.arange(n, dtype=np.int64), pos, cutoff)[:2]
+    ia, ib, dx, dy, d = _near_pairs(*_candidates, pos, cutoff)
+    nz = d > _EPS
+    ux = np.divide(dx, d, out=np.zeros_like(dx), where=nz)
+    uy = np.divide(dy, d, out=np.zeros_like(dy), where=nz)
+    for k in np.nonzero(~nz)[0]:  # coincident agents
+        ux[k], uy[k] = _pair_direction(int(ia[k]), int(ib[k]))
+    mag = params.repulsion_strength * np.exp((radii[ia] + radii[ib] - d) / params.repulsion_range)
+    fx, fy = mag * ux, mag * uy
+    # one pass in input order: relaxation, then +f on each a, then -f on each b
+    who = np.concatenate([np.arange(n, dtype=np.int64), ia, ib])
+    acc = np.empty((n, 2))
+    acc[:, 0] = np.bincount(who, np.concatenate([relax[:, 0], fx, -fx]), minlength=n)
+    acc[:, 1] = np.bincount(who, np.concatenate([relax[:, 1], fy, -fy]), minlength=n)
 
     if env is not None:
         table = _obstacles
@@ -735,6 +809,43 @@ class Simulation:
                     self._enter_current(ag, tick)
                 elif ag.phase == "moving":
                     self._route_to(ag, point, name)
+        self._check_deadlock(tick)
+
+    def _check_deadlock(self, tick: int) -> None:
+        """Fail when slot holders wait on each other in a cycle.
+
+        An agent in ``queue_wait`` keeps its slots until its next location
+        grants one, and a location with waiters is full after the grant
+        pass.  Drop, until none is left to drop, every such waiter whose
+        location has a holder outside the set: that holder may still leave.
+        The agents left can never move, and every one of them waits on
+        another, so they contain a cycle of the wait-for graph.
+        """
+        stuck: dict[int, str] = {}  # agent index -> location it waits for
+        for name, st in self.loc_state.items():
+            for _, idx in st.waiters:
+                if self.agents[idx].phase == "queue_wait":
+                    stuck[idx] = name
+        while stuck:
+            free = [
+                idx for idx, name in stuck.items()
+                if self.loc_state[name].has_free()
+                or not self.loc_state[name].holders <= stuck.keys()
+            ]
+            if not free:
+                break
+            for idx in free:
+                del stuck[idx]
+        if stuck:
+            parts = []
+            for idx in sorted(stuck):
+                ag = self.agents[idx]
+                held = ", ".join(repr(h) for h in sorted(ag.slots)) or "no slot"
+                parts.append(
+                    f"agent {idx} ({self.type_names[ag.type_idx]}) holds {held} "
+                    f"and waits for {stuck[idx]!r}"
+                )
+            raise SimulationFault(f"capacity deadlock at tick {tick}: " + "; ".join(parts))
 
     # -- physics ---------------------------------------------------------------
 
@@ -771,12 +882,22 @@ class Simulation:
         radii = self.radius[g_idx]
         fb = self.forbidden[g_idx]
         moving = ~self.frozen[g_idx]
-        dt = self.tick_length / self.config.physics_substeps
-        for _ in range(self.config.physics_substeps):
+        if not moving.any():
+            return  # nobody moves, and frozen agents already stand still
+        substeps = self.config.physics_substeps
+        dt = self.tick_length / substeps
+        # one neighbour search per tick; each substep filters it to the cutoff
+        skin = _skin_radius(
+            _agent_cutoff(radii, self.config.forces), pos, speeds, self.config.forces,
+            self.tick_length, substeps,
+        )
+        candidates = pairs_within(np.arange(len(g_idx), dtype=np.int64), pos, skin)[:2]
+        for _ in range(substeps):
             self._advance_waypoints(g_idx, pos, tgt, moving)
             pos, vel = social_force_step(
                 pos, vel, tgt, speeds, radii, dt, self.config.forces,
                 env=self.env, moving=moving, forbidden=fb, _obstacles=self._obstacles,
+                _candidates=candidates,
             )
         self.pos[g_idx] = pos
         self.vel[g_idx] = vel

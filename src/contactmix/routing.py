@@ -43,7 +43,7 @@ def shortest_cell_path(
     if start == goal:
         return [start], 0.0
 
-    walkable = env.walkable
+    cells = env.walkable_cells
     g: dict[tuple[int, int], float] = {start: 0.0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     # Ties broken on (f, h, cell) so expansion order is fully deterministic.
@@ -63,11 +63,12 @@ def shortest_cell_path(
             continue
         closed.add(cell)
         x, y = cell
+        g_cell = g[cell]
         for dx, dy in _STRAIGHT:
             nxt = (x + dx, y + dy)
-            if not walkable(nxt):
+            if nxt not in cells:
                 continue
-            cost = g[cell] + 1.0
+            cost = g_cell + 1.0
             if cost < g.get(nxt, math.inf):
                 g[nxt] = cost
                 parent[nxt] = cell
@@ -76,9 +77,9 @@ def shortest_cell_path(
         for dx, dy in _DIAGONAL:
             nxt = (x + dx, y + dy)
             # corner rule: both straight neighbours must be open
-            if not (walkable(nxt) and walkable((x + dx, y)) and walkable((x, y + dy))):
+            if not (nxt in cells and (x + dx, y) in cells and (x, y + dy) in cells):
                 continue
-            cost = g[cell] + SQRT2
+            cost = g_cell + SQRT2
             if cost < g.get(nxt, math.inf):
                 g[nxt] = cost
                 parent[nxt] = cell

@@ -10,6 +10,10 @@ the grid detection path (more than 128 wearers), spans several hour buckets
 with records crossing bucket edges, and lists wearers in an order that is
 not id order (agent-by-type rows follow first appearance).
 
+The crowd digests cover ``run`` on a two-room doorway map with 200 agents,
+so the engine's agent-agent search takes the grid path (more than 128
+agents present) and a capacity-limited desk keeps a queue going.
+
 Regenerate with ``python tests/test_behaviour_lock.py`` (``PYTHONPATH=src``)
 and paste the printed dictionaries over the pinned ones.
 """
@@ -17,6 +21,7 @@ and paste the printed dictionaries over the pinned ones.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 from pathlib import Path
@@ -24,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from contactmix.cli import EXIT_OK, main
-from contactmix.contacts import ContactConfig, ContactLedger
+from contactmix.contacts import BRUTE_FORCE_MAX_N, ContactConfig, ContactLedger
 from contactmix.engine import SimConfig, run
 
 from test_acceptance import _mixing_scenario
@@ -78,6 +83,23 @@ INGEST_DIGESTS = {
     "type_count.csv": "05a364e24ed2fbda80c6faee693b81c0e4bdacf154951b7ad2c27568695e6cb0",
     "type_distance.csv": "bfa1f58d71c3c2430966b36f65dfcc123193cada3e37988f44d323da7b70f04c",
     "type_duration.csv": "be92136dbdb5e194a2187de5212da8a3b6ad2fd4d02ae68f9a8b6a200f9296b8",
+}
+
+CROWD_DIGESTS = {
+    "agent_by_type_count.csv": "26f8097a7b110332b741ef9dbb96d7844cd5396e61f22d09897df66e3dd3c8b2",
+    "agent_by_type_distance.csv": "749b515f5e564d013b6c2ccea80edbe2df5a4d61f6fa78117a9bd7f7837591b3",
+    "agent_by_type_duration.csv": "720d2b97260e3a9025f53733848f3c5399586b9ac6cfb8d7257f3217158e5e2a",
+    "agent_count.csv": "88b421eda0661ec179d16996f9ddd16ca38a6e1db1fd5daa0770c123c66de7c7",
+    "agent_distance.csv": "27efe93357e0de40b3e1a546b47ca49d5b869ef33fcc384fb0b181dee392ee13",
+    "agent_duration.csv": "4ae5bc133d65f7c198bae2b70507b97c174f8c74457453205efeb65493ea0c2f",
+    "bundle.json": "7eaf9fe6234a2d6758c9f30545ee3496a2ec05db93487435b1d309e1505a503b",
+    "effective_chunks.csv": "6fc1641bc0595d8a550fe39d0c22e803c1d390bfda56d3ec29337230e4497abd",
+    "hourly_series.csv": "b32836c574f2aff9634c384e4bec8ed6480cffbefc909af178313b73b199a27b",
+    "manifest.json": "90255213d7a21e56600a58a0b9d20654ea21962da5f02ff0b05729b82a40b106",
+    "transmission_probability.csv": "82d17e72a8501580ede51afaaf0c175eed59077820263aff98866e424de99501",
+    "type_count.csv": "ba8393f0715cdbe6a02941dacd62370d13660ea9df256632ab5063a28fb61ff7",
+    "type_distance.csv": "2e10253f31cc98093a8e5baff29874d3bff7a2b6bc9e18d67f2a84749ec7f3a0",
+    "type_duration.csv": "766c996040a8982944b0ad6e773b6f0f40633cc7fc3a64f58d910269f6fd6825",
 }
 
 
@@ -145,6 +167,80 @@ def ingest_digests(workdir: Path) -> dict[str, str]:
     return digests
 
 
+CROWD_TYPES = 4
+CROWD_PER_TYPE = 50  # 200 agents, all present from tick 49
+CROWD_TICKS = 100
+
+
+def crowd_scenario_doc() -> dict:
+    """Two rooms joined by one doorway; four types cross it, one of them queues.
+
+    The left room holds an entrance and a canteen, the right room a ward
+    and a desk of capacity 2 reached through ``queue``.  Types differ in
+    body radius, so the force cutoff follows the largest one.
+    """
+    width, height, wall_x = 30, 18, 15
+    blocked = [[wall_x, y] for y in range(height) if not 7 <= y < 11]
+
+    def block(x0, y0, w, h):
+        return [[x, y] for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
+
+    def dwell(lo, hi):
+        return {"kind": "dwell", "duration": {"kind": "uniform", "min": lo, "max": hi}}
+
+    locations = {
+        "entrance": {"cells": block(2, 2, 4, 3), "capacity": None},
+        "canteen": {"cells": block(3, 12, 4, 3), "capacity": None},
+        "ward": {"cells": block(20, 3, 5, 3), "capacity": None},
+        "desk": {"cells": block(25, 13, 2, 1), "capacity": 2},
+    }
+    legs = {
+        "patient": ["ward", "entrance"],
+        "nurse": ["canteen", "ward"],
+        "visitor": ["ward", "canteen", "entrance"],
+        "clerk": ["desk", "canteen"],
+    }
+    agent_types = []
+    for k, (name, stops) in enumerate(legs.items()):
+        body = []
+        for loc in stops:
+            if loc == "desk":
+                body.append({"kind": "queue", "location": "desk"})
+            body += [{"kind": "goto", "location": loc}, dwell(2.0 + k, 8.0 + 2 * k)]
+        agent_types.append({
+            "name": name,
+            "population": CROWD_PER_TYPE,
+            "arrival": {"start": k % 2, "interval": 1},
+            "desired_speed": {"kind": "uniform", "min": 1.0 + 0.1 * k, "max": 1.6},
+            "radius": 0.22 + 0.02 * k,
+            "workflow": [
+                {"kind": "goto", "location": "entrance" if k % 2 == 0 else "canteen"},
+                {"kind": "cycle", "until_tick": CROWD_TICKS + 1, "steps": body},
+            ],
+        })
+    return {
+        "map": {"cell_size_m": 1.0, "width": width, "height": height,
+                "blocked": blocked, "locations": locations},
+        "agent_types": agent_types,
+        "defaults": {"tick_length_s": 1.0},
+    }
+
+
+def crowd_digests(workdir: Path) -> dict[str, str]:
+    """Every bundle file of ``run`` on the two-room crowd, seed 7."""
+    assert CROWD_TYPES * CROWD_PER_TYPE > BRUTE_FORCE_MAX_N
+    (workdir / "crowd.json").write_text(json.dumps(crowd_scenario_doc()), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main(["run", "--scenario", "crowd.json", "--seed", "7",
+                     "--ticks", str(CROWD_TICKS), "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    assert code == EXIT_OK
+    return {p.name: _sha(p.read_bytes()) for p in sorted((workdir / "out").iterdir())}
+
+
 def mixing_digests() -> dict[str, str]:
     """Ledger columns of one short run of the acceptance mixing scenario."""
     ticks = 300
@@ -167,6 +263,10 @@ def test_ingest_bundle_is_locked(tmp_path):
     assert ingest_digests(tmp_path) == INGEST_DIGESTS
 
 
+def test_crowd_bundle_is_locked(tmp_path):
+    assert crowd_digests(tmp_path) == CROWD_DIGESTS
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
@@ -176,3 +276,5 @@ if __name__ == "__main__":
     pprint.pprint(mixing_digests())
     with tempfile.TemporaryDirectory() as tmp:
         pprint.pprint(ingest_digests(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        pprint.pprint(crowd_digests(Path(tmp)))

@@ -190,6 +190,33 @@ def test_unreachable_location_exits_2(tmp_path, capsys):
     assert "walker" in err and "vault" in err
 
 
+def test_capacity_deadlock_exits_2(tmp_path, capsys):
+    def walker(name, first, then):
+        return {"name": name, "population": 1, "workflow": [
+            {"kind": "queue", "location": first},
+            {"kind": "goto", "location": then},
+            {"kind": "depart"},
+        ]}
+    doc = {
+        "map": {
+            "cell_size_m": 1.0, "width": 12, "height": 6, "blocked": [],
+            "locations": {
+                "P": {"cells": [[2, 2]], "capacity": 1},
+                "Q": {"cells": [[9, 2]], "capacity": 1},
+            },
+        },
+        "agent_types": [walker("east", "P", "Q"), walker("west", "Q", "P")],
+    }
+    path = tmp_path / "crossed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 2000, "--out", tmp_path / "o")
+    assert code == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "deadlock" in err
+    assert "agent 0 (east)" in err and "agent 1 (west)" in err
+    assert "'P'" in err and "'Q'" in err
+
+
 def test_malformed_scenario_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"map": {}}', encoding="utf-8")

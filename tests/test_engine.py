@@ -234,6 +234,27 @@ def test_sim_config_validation():
         SimConfig(ticks=1, tick_length=0.0)
 
 
+@pytest.mark.parametrize("name", [
+    "relaxation_time", "repulsion_range", "obstacle_range", "max_speed_factor",
+])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+def test_force_parameters_reject_non_positive_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        ForceParameters(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["repulsion_strength", "obstacle_strength"])
+@pytest.mark.parametrize("value", [-0.5, math.inf, -math.inf, math.nan])
+def test_force_parameters_reject_negative_or_non_finite_strength(name, value):
+    with pytest.raises(ValueError, match=name):
+        ForceParameters(**{name: value})
+
+
+def test_force_parameters_accept_zero_strengths():
+    params = ForceParameters(repulsion_strength=0.0, obstacle_strength=0.0)
+    assert params.repulsion_strength == params.obstacle_strength == 0.0
+
+
 # --- whole-run behavior -------------------------------------------------------------
 
 
@@ -415,6 +436,53 @@ def test_unreachable_location_faults_with_names():
     }
     with pytest.raises(SimulationFault, match=r"agent 0 \(intruder\).*vault"):
         run(scenario_from(doc), SimConfig(ticks=10))
+
+
+def crossed_queues_doc(second=None):
+    """Capacity-1 locations P and Q: agent 0 queues at P then goes to Q;
+    agent 1 runs ``second``, by default queue at Q then go to P."""
+    steps = [
+        {"kind": "dwell", "duration": {"kind": "constant", "value": 3}},
+        {"kind": "depart"},
+    ]
+    first = [{"kind": "queue", "location": "P"}, {"kind": "goto", "location": "Q"}]
+    second = second or [{"kind": "queue", "location": "Q"}, {"kind": "goto", "location": "P"}]
+    return {
+        "map": open_map(width=12, height=6, locations={
+            "P": {"cells": [[2, 2]], "capacity": 1},
+            "Q": {"cells": [[9, 2]], "capacity": 1},
+            "R": {"cells": [[6, 4]], "capacity": None},
+        }),
+        "agent_types": [
+            {"name": "a", "population": 1, "workflow": first + steps},
+            {"name": "b", "population": 1, "workflow": second + steps},
+        ],
+    }
+
+
+def test_crossed_queues_deadlock_faults_with_agents_and_locations():
+    # each holds the slot the other waits for; before detection both sat
+    # in queue_wait until the horizon and the run ended with no departures
+    with pytest.raises(SimulationFault) as err:
+        run(scenario_from(crossed_queues_doc()), SimConfig(ticks=2000))
+    msg = str(err.value)
+    assert "capacity deadlock" in msg
+    assert "agent 0 (a) holds 'P' and waits for 'Q'" in msg
+    assert "agent 1 (b) holds 'Q' and waits for 'P'" in msg
+
+
+def test_waiting_on_a_holder_that_moves_on_is_not_a_deadlock():
+    # agent 0 holds P and waits for Q while agent 1 dwells at Q, then leaves for R
+    doc = crossed_queues_doc(second=[
+        {"kind": "goto", "location": "Q"},
+        {"kind": "dwell", "duration": {"kind": "constant", "value": 10}},
+        {"kind": "goto", "location": "R"},
+    ])
+    sim = Simulation(scenario_from(doc), SimConfig(ticks=200))
+    waited = []
+    summary = sim.run(lambda frame: waited.append(sim.agents[0].phase == "queue_wait"))
+    assert sum(waited) >= 5
+    assert summary.departures == 2
 
 
 def test_cycle_repeat_and_until_tick():

@@ -174,3 +174,13 @@ def test_random_maps_match_dijkstra():
             path_is_valid(env, cells, start, goal)
             assert cost == pytest.approx(want, abs=1e-9), f"trial {trial}"
             assert path_cost(cells) == pytest.approx(cost, abs=1e-9)
+
+
+def test_walkable_cells_agrees_with_walkable():
+    env = make_env(7, 5, blocked=[(0, 0), (3, 2), (6, 4), (3, 3)])
+    cells = env.walkable_cells
+    assert isinstance(cells, frozenset)
+    for x in range(-2, env.width + 2):
+        for y in range(-2, env.height + 2):
+            assert ((x, y) in cells) == env.walkable((x, y)), (x, y)
+    assert len(cells) == 7 * 5 - 4
