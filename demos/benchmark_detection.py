@@ -51,5 +51,5 @@ for _ in range(3):
 
 rate = N_AGENTS * TICKS / best
 print(f"detection + logging: {best:.2f} s for {N_AGENTS * TICKS} agent-ticks, "
-      f"{len(ledger.records())} records")
+      f"{ledger.n_records} records")
 print(f"throughput: {rate / 1e6:.2f}M agent-ticks/s")

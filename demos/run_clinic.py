@@ -35,7 +35,7 @@ summary = run(scenario, SimConfig(ticks=TICKS, seed=42), ledger.observe)
 ledger.finalize(TICKS - 1)
 
 print(f"simulated {TICKS} ticks: {summary.arrivals} arrivals, "
-      f"{summary.departures} departures, {len(ledger.records())} contact episodes")
+      f"{summary.departures} departures, {ledger.n_records} contact episodes")
 
 matrices = build_matrices(ledger, scenario.populations)
 

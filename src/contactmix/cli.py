@@ -4,7 +4,8 @@
 bundle; ``contactmix ingest-trace`` replays a recorded position trace
 through the same contact pipeline.  Exit codes: 0 success, 1 invalid input
 (scenario, trace or usage), 2 a fault during simulation (an unreachable
-location or a capacity deadlock), 3 an I/O failure.
+location, or a capacity deadlock: waiters for a slot whose holders wait on
+each other in a cycle or have ended their workflow), 3 an I/O failure.
 """
 
 from __future__ import annotations

@@ -32,13 +32,19 @@ wall forces are summed from zero the same way and then added.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
 
-Capacity is slot accounting: an agent heading to a full location keeps the
-location's cells off-limits for itself and piles up at the boundary until a
-slot frees.  Slots map to berth points (the anchor first, then the other
-cells, then deterministic offsets), so simultaneous occupants never share an
-exact position.  Agents passing through on the way to somewhere else are not
-gated.  Queueing agents keep their slot while they wait for the next one; when
-such holders wait on each other in a cycle, the run stops with a
+Capacity is slot accounting, recorded once: each location maps the agents
+holding a slot there to their berths.  A grant takes the smallest berth not
+in use; berths map to points (the anchor first, then the other cells'
+centres, then deterministic offsets kept inside the base cell), so
+simultaneous occupants never share an exact position.  An agent heading to a
+full location keeps the location's cells off-limits for itself and piles up
+at the boundary until a slot frees; once per tick, the physics derives that
+gate from each agent's pending request, and who moves from its phase.
+Agents passing through on the way to somewhere else are not gated.
+Queueing agents keep their slot while they wait for the next one, and an
+agent whose workflow ends without ``depart`` stays ``idle`` and keeps its
+slots for good.  When waiters can never be granted, because holders wait on
+each other in a cycle or on idle agents, the run stops with a
 ``SimulationFault`` naming them.
 
 Everything is deterministic for a given (scenario, config): per-agent random
@@ -48,7 +54,6 @@ fixed.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -502,7 +507,7 @@ class _Agent:
     __slots__ = (
         "index", "type_idx", "spec", "rng", "arrival", "v0",
         "phase", "cursor", "dwell_remaining", "waypoints", "wp_i",
-        "slots", "pending_loc", "queue_mode", "queue_next",
+        "pending_loc", "queue_mode", "queue_next",
     )
 
     def __init__(self, index, type_idx, spec, arrival, rng):
@@ -517,53 +522,63 @@ class _Agent:
         self.dwell_remaining = 0
         self.waypoints: list[tuple[float, float]] = []
         self.wp_i = 0
-        self.slots: dict[str, int] = {}
         self.pending_loc: str | None = None
         self.queue_mode = False
         self.queue_next: str | None = None
 
 
 class _LocationState:
-    __slots__ = ("loc", "holders", "free_berths", "next_berth", "waiters", "wait_points")
+    __slots__ = ("loc", "berths", "waiters", "wait_points")
 
     def __init__(self, loc: Location):
         self.loc = loc
-        self.holders: set[int] = set()
-        self.free_berths: list[int] = []
-        self.next_berth = 0
+        self.berths: dict[int, int] = {}  # agent index -> berth, one per slot held
         self.waiters: list[tuple[int, int]] = []  # (request tick, agent index)
         self.wait_points = 0
 
-    def take_berth(self, agent_index: int) -> int:
-        k = heapq.heappop(self.free_berths) if self.free_berths else self._bump()
-        self.holders.add(agent_index)
-        return k
-
-    def _bump(self) -> int:
-        k = self.next_berth
-        self.next_berth += 1
-        return k
-
-    def release(self, agent_index: int, berth: int) -> None:
-        self.holders.discard(agent_index)
-        heapq.heappush(self.free_berths, berth)
+    def take_berth(self, agent_index: int) -> None:
+        """Give the agent a slot at the smallest berth not in use."""
+        used = set(self.berths.values())
+        k = 0
+        while k in used:
+            k += 1
+        self.berths[agent_index] = k
 
     def has_free(self) -> bool:
         cap = self.loc.capacity
-        return cap is None or len(self.holders) < cap
+        return cap is None or len(self.berths) < cap
 
 
 def berth_point(env: EnvironmentMap, loc: Location, k: int) -> tuple[float, float]:
-    """Standing point for berth k: anchor, then other cell centers, then offsets."""
+    """Standing point for berth k: anchor, then other cell centers, then offsets.
+
+    An offset stays inside the cell of its base point, since the neighbouring
+    cell may be blocked: one that would leave it is turned toward the cell
+    centre on each axis it leaves by, and kept at most halfway from the base
+    to the edge ahead.
+    """
     anchor_cell = env.cell_of(*loc.anchor)
     bases = [loc.anchor] + [env.cell_center(c) for c in loc.cells if c != anchor_cell]
     base = bases[k % len(bases)]
     ring = k // len(bases)
     if ring == 0:
         return base
-    r = 0.15 * env.cell_size * math.sqrt(ring)
+    cs = env.cell_size
+    r = 0.15 * cs * math.sqrt(ring)
     a = 2.0 * math.pi * ((ring * GOLDEN) % 1.0)
-    return (base[0] + r * math.cos(a), base[1] + r * math.sin(a))
+    u = (math.cos(a), math.sin(a))
+    point = (base[0] + r * u[0], base[1] + r * u[1])
+    cell = env.cell_of(*base)
+    out = env.cell_of(*point)
+    if out != cell:
+        u = tuple(
+            math.copysign(v, (c + 0.5) * cs - b) if o != c else v
+            for v, b, o, c in zip(u, base, out, cell)
+        )
+        room = min(((c + (v > 0)) * cs - b) / v for b, v, c in zip(base, u, cell) if v != 0.0)
+        r = min(r, 0.5 * room)
+        point = (base[0] + r * u[0], base[1] + r * u[1])
+    return point
 
 
 class Simulation:
@@ -573,7 +588,6 @@ class Simulation:
         self.env = scenario.map
         self.tick_length = config.tick_length if config.tick_length is not None else scenario.tick_length
         self.type_names = scenario.type_names
-        self._loc_index = {name: i for i, name in enumerate(sorted(self.env.locations))}
         self._obstacles = _build_obstacle_table(
             self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces
         )
@@ -595,8 +609,6 @@ class Simulation:
         self.v0 = np.array([a.v0 for a in self.agents], dtype=np.float64)
         self.radius = np.array([a.spec.radius for a in self.agents], dtype=np.float64)
         self.present = np.zeros(n, dtype=bool)
-        self.frozen = np.zeros(n, dtype=bool)
-        self.forbidden = np.full(n, -1, dtype=np.int64)
 
         self.loc_state = {name: _LocationState(loc) for name, loc in self.env.locations.items()}
         self.arrivals = 0
@@ -607,36 +619,28 @@ class Simulation:
 
     # -- slots -----------------------------------------------------------------
 
-    def _grant(self, ag: _Agent, name: str) -> int:
-        st = self.loc_state[name]
-        berth = st.take_berth(ag.index)
-        ag.slots[name] = berth
-        if ag.pending_loc == name:
-            ag.pending_loc = None
-            self.forbidden[ag.index] = -1
-        return berth
+    def _holds(self, ag: _Agent, name: str) -> bool:
+        return ag.index in self.loc_state[name].berths
 
-    def _release(self, ag: _Agent, name: str) -> None:
-        berth = ag.slots.pop(name)
-        self.loc_state[name].release(ag.index, berth)
+    def _berth_point(self, ag: _Agent, name: str) -> tuple[float, float]:
+        st = self.loc_state[name]
+        return berth_point(self.env, st.loc, st.berths[ag.index])
+
+    def _release(self, ag: _Agent, keep: str | None = None) -> None:
+        """Give up every slot the agent holds, except the one at ``keep``."""
+        for name, st in self.loc_state.items():
+            if name != keep:
+                st.berths.pop(ag.index, None)
 
     def _request(self, ag: _Agent, name: str, tick: int) -> bool:
         """Ask for a slot; returns True when granted on the spot."""
         st = self.loc_state[name]
         if st.has_free() and not st.waiters:
-            self._grant(ag, name)
+            st.take_berth(ag.index)
             return True
         st.waiters.append((tick, ag.index))
         ag.pending_loc = name
-        self.forbidden[ag.index] = self._loc_index[name]
         return False
-
-    def _drop_waiter(self, ag: _Agent) -> None:
-        if ag.pending_loc is not None:
-            st = self.loc_state[ag.pending_loc]
-            st.waiters = [w for w in st.waiters if w[1] != ag.index]
-            ag.pending_loc = None
-            self.forbidden[ag.index] = -1
 
     # -- movement ---------------------------------------------------------------
 
@@ -659,30 +663,23 @@ class Simulation:
         ag.waypoints = waypoints
         ag.wp_i = 0
         ag.phase = "moving"
-        self.frozen[ag.index] = False
         self.tgt[ag.index] = waypoints[0]
 
     def _freeze(self, ag: _Agent, phase: str) -> None:
         ag.phase = phase
-        self.frozen[ag.index] = True
         self.vel[ag.index] = 0.0
         self.tgt[ag.index] = self.pos[ag.index]
 
     # -- workflow -----------------------------------------------------------------
 
     def _begin_goto(self, ag: _Agent, name: str, tick: int, queue_mode: bool) -> None:
-        for held in list(ag.slots):
-            if held != name:
-                self._release(ag, held)
+        self._release(ag, keep=name)
         ag.queue_mode = queue_mode
         ag.queue_next = None
-        loc = self.env.locations[name]
-        if name in ag.slots:
-            self._route_to(ag, berth_point(self.env, loc, ag.slots[name]), name)
-        elif self._request(ag, name, tick):
-            self._route_to(ag, berth_point(self.env, loc, ag.slots[name]), name)
+        if self._holds(ag, name) or self._request(ag, name, tick):
+            self._route_to(ag, self._berth_point(ag, name), name)
         else:
-            self._route_to(ag, loc.anchor, name)
+            self._route_to(ag, self.env.locations[name].anchor, name)
 
     def _enter_current(self, ag: _Agent, tick: int) -> None:
         for _ in range(64):  # zero-length steps collapse within the tick
@@ -713,16 +710,10 @@ class Simulation:
         self._freeze(ag, "dwelling")
 
     def _depart(self, ag: _Agent) -> None:
-        for held in list(ag.slots):
-            self._release(ag, held)
-        self._drop_waiter(ag)
+        self._release(ag)  # a waiter cannot depart: only a grant moves it on
         self.present[ag.index] = False
         self._freeze(ag, "done")
         self.departures += 1
-
-    def _goto_target_name(self, ag: _Agent) -> str:
-        step = ag.cursor.current()
-        return step.location  # only called while current step is GoTo/Queue
 
     def _reached_target(self, ag: _Agent) -> bool:
         if not ag.waypoints or ag.wp_i != len(ag.waypoints) - 1:
@@ -745,30 +736,22 @@ class Simulation:
         return loc.anchor  # degenerate map; capacity is then best-effort
 
     def _process_arrival(self, ag: _Agent, tick: int) -> None:
+        """Place the agent at its berth, or outside the full location, and route."""
         self.present[ag.index] = True
         self.arrivals += 1
         ag.cursor.normalize(tick)
         step = ag.cursor.current()  # validated: goto or queue
         name = step.location
         ag.queue_mode = isinstance(step, Queue)
-        loc = self.env.locations[name]
         st = self.loc_state[name]
-        if st.has_free() and not st.waiters:
-            self._grant(ag, name)
-            point = berth_point(self.env, loc, ag.slots[name])
-            self.pos[ag.index] = point
-            ag.waypoints = [point]
-            ag.wp_i = 0
-            ag.phase = "moving"
-            self.frozen[ag.index] = False
-            self.tgt[ag.index] = point
+        if self._request(ag, name, tick):
+            point = self._berth_point(ag, name)
+            self.pos[ag.index] = point  # the route is then the one cell: [point]
         else:
-            st.waiters.append((tick, ag.index))
-            ag.pending_loc = name
-            self.forbidden[ag.index] = self._loc_index[name]
-            self.pos[ag.index] = self._spawn_wait_point(loc, st.wait_points)
+            self.pos[ag.index] = self._spawn_wait_point(st.loc, st.wait_points)
             st.wait_points += 1
-            self._route_to(ag, loc.anchor, name)
+            point = st.loc.anchor
+        self._route_to(ag, point, name)
 
     def _tick_workflow(self, ag: _Agent, tick: int) -> None:
         if ag.phase == "dwelling":
@@ -777,13 +760,13 @@ class Simulation:
                 ag.cursor.advance(tick)
                 self._enter_current(ag, tick)
         elif ag.phase == "moving":
-            name = self._goto_target_name(ag)
-            if name not in ag.slots or not self._reached_target(ag):
+            name = ag.cursor.current().location  # a goto or queue step
+            if not self._holds(ag, name) or not self._reached_target(ag):
                 return
             if ag.queue_mode:
                 nxt = ag.cursor.peek_next()
                 ag.queue_next = nxt.location  # validated: queue precedes a goto
-                if ag.queue_next in ag.slots or self._request(ag, ag.queue_next, tick):
+                if self._holds(ag, ag.queue_next) or self._request(ag, ag.queue_next, tick):
                     # slot already in hand: fall straight through to the goto
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
@@ -802,50 +785,50 @@ class Simulation:
             while st.waiters and st.has_free():
                 _, idx = st.waiters.pop(0)
                 ag = self.agents[idx]
-                self._grant(ag, name)
-                point = berth_point(self.env, st.loc, ag.slots[name])
+                st.take_berth(idx)
+                ag.pending_loc = None
                 if ag.phase == "queue_wait" and ag.queue_next == name:
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
                 elif ag.phase == "moving":
-                    self._route_to(ag, point, name)
+                    self._route_to(ag, self._berth_point(ag, name), name)
         self._check_deadlock(tick)
 
     def _check_deadlock(self, tick: int) -> None:
-        """Fail when slot holders wait on each other in a cycle.
+        """Fail when waiters can never be granted a slot.
 
-        An agent in ``queue_wait`` keeps its slots until its next location
-        grants one, and a location with waiters is full after the grant
-        pass.  Drop, until none is left to drop, every such waiter whose
-        location has a holder outside the set: that holder may still leave.
-        The agents left can never move, and every one of them waits on
-        another, so they contain a cycle of the wait-for graph.
+        After the grant pass a location with waiters is full, so its waiters
+        wait on its holders.  An agent in ``idle`` has ended its workflow and
+        never leaves; a waiter keeps its slots until it is granted.  Drop,
+        until none is left to drop, the waiters of every location with a
+        free slot or a holder that is neither idle nor a waiter left: that
+        holder may still leave.  The waiters left can never move: they wait
+        on each other in a cycle, or on agents that have ended.
         """
-        stuck: dict[int, str] = {}  # agent index -> location it waits for
-        for name, st in self.loc_state.items():
-            for _, idx in st.waiters:
-                if self.agents[idx].phase == "queue_wait":
-                    stuck[idx] = name
-        while stuck:
-            free = [
-                idx for idx, name in stuck.items()
-                if self.loc_state[name].has_free()
-                or not self.loc_state[name].holders <= stuck.keys()
-            ]
-            if not free:
-                break
-            for idx in free:
-                del stuck[idx]
-        if stuck:
-            parts = []
-            for idx in sorted(stuck):
-                ag = self.agents[idx]
-                held = ", ".join(repr(h) for h in sorted(ag.slots)) or "no slot"
-                parts.append(
-                    f"agent {idx} ({self.type_names[ag.type_idx]}) holds {held} "
-                    f"and waits for {stuck[idx]!r}"
-                )
-            raise SimulationFault(f"capacity deadlock at tick {tick}: " + "; ".join(parts))
+        waiting = {name: st for name, st in self.loc_state.items() if st.waiters}
+        stuck = {idx: name for name, st in waiting.items() for _, idx in st.waiters}
+        dropped = True
+        while dropped:
+            dropped = False
+            for name, st in list(waiting.items()):
+                if st.has_free() or any(
+                    h not in stuck and self.agents[h].phase != "idle" for h in st.berths
+                ):
+                    for _, idx in waiting.pop(name).waiters:
+                        del stuck[idx]
+                    dropped = True
+        if not stuck:
+            return
+        ended = {h for st in waiting.values() for h in st.berths if h not in stuck}
+        parts = []
+        for idx in sorted(stuck) + sorted(ended):
+            ag = self.agents[idx]
+            held = ", ".join(
+                repr(name) for name in sorted(self.loc_state) if self._holds(ag, name)
+            ) or "no slot"
+            what = f"waits for {stuck[idx]!r}" if idx in stuck else "has ended its workflow"
+            parts.append(f"agent {idx} ({self.type_names[ag.type_idx]}) holds {held} and {what}")
+        raise SimulationFault(f"capacity deadlock at tick {tick}: " + "; ".join(parts))
 
     # -- physics ---------------------------------------------------------------
 
@@ -880,10 +863,13 @@ class Simulation:
         tgt = self.tgt[g_idx]
         speeds = self.v0[g_idx]
         radii = self.radius[g_idx]
-        fb = self.forbidden[g_idx]
-        moving = ~self.frozen[g_idx]
+        here = [self.agents[i] for i in g_idx]
+        moving = np.array([ag.phase == "moving" for ag in here], dtype=bool)
         if not moving.any():
             return  # nobody moves, and frozen agents already stand still
+        # each waiter keeps off the cells of the location it waits for
+        index = self.env.location_index
+        fb = np.array([index.get(ag.pending_loc, -1) for ag in here], dtype=np.int64)
         substeps = self.config.physics_substeps
         dt = self.tick_length / substeps
         # one neighbour search per tick; each substep filters it to the cutoff
@@ -913,7 +899,7 @@ class Simulation:
             for idx in self._arrival_schedule.get(tick, ()):
                 self._process_arrival(self.agents[idx], tick)
             for ag in self.agents:
-                if self.present[ag.index] and ag.phase in ("dwelling", "moving"):
+                if ag.phase in ("dwelling", "moving"):
                     self._tick_workflow(ag, tick)
             self._grant_pass(tick)
             self._physics()

@@ -293,10 +293,15 @@ class EnvironmentMap:
         return occ
 
     @cached_property
+    def location_index(self) -> dict[str, int]:
+        """Location name -> index, numbered in sorted name order."""
+        return {name: i for i, name in enumerate(sorted(self.locations))}
+
+    @cached_property
     def location_of_cell(self) -> np.ndarray:
         """Int (width, height) array mapping each cell to a location index, -1 if none."""
         idx = np.full((self.width, self.height), -1, dtype=np.int32)
-        for i, name in enumerate(sorted(self.locations)):
+        for name, i in self.location_index.items():
             for x, y in self.locations[name].cells:
                 idx[x, y] = i
         return idx
@@ -511,10 +516,6 @@ class Scenario:
     @property
     def populations(self) -> dict[str, int]:
         return {t.name: t.population for t in self.agent_types}
-
-    @property
-    def total_population(self) -> int:
-        return sum(t.population for t in self.agent_types)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -217,6 +217,35 @@ def test_capacity_deadlock_exits_2(tmp_path, capsys):
     assert "'P'" in err and "'Q'" in err
 
 
+def test_waiting_on_an_idle_holder_exits_2(tmp_path, capsys):
+    # agent 0's workflow ends at P, which it then holds for good
+    doc = {
+        "map": {
+            "cell_size_m": 1.0, "width": 12, "height": 6, "blocked": [],
+            "locations": {
+                "P": {"cells": [[2, 2]], "capacity": 1},
+                "R": {"cells": [[6, 4]], "capacity": None},
+            },
+        },
+        "agent_types": [
+            {"name": "keeper", "population": 1, "workflow": [{"kind": "goto", "location": "P"}]},
+            {"name": "visitor", "population": 1, "workflow": [
+                {"kind": "goto", "location": "R"},
+                {"kind": "goto", "location": "P"},
+                {"kind": "dwell", "duration": {"kind": "constant", "value": 3}},
+                {"kind": "depart"},
+            ]},
+        ],
+    }
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 2000, "--out", tmp_path / "o")
+    assert code == EXIT_FAULT
+    err = capsys.readouterr().err
+    assert "agent 1 (visitor) holds no slot and waits for 'P'" in err
+    assert "agent 0 (keeper) holds 'P' and has ended its workflow" in err
+
+
 def test_malformed_scenario_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"map": {}}', encoding="utf-8")

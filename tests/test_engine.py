@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from contactmix.engine import (
     SimulationFault,
     _build_obstacle_table,
     _obstacle_acceleration,
+    berth_point,
     run,
     social_force_step,
 )
@@ -483,6 +485,74 @@ def test_waiting_on_a_holder_that_moves_on_is_not_a_deadlock():
     summary = sim.run(lambda frame: waited.append(sim.agents[0].phase == "queue_wait"))
     assert sum(waited) >= 5
     assert summary.departures == 2
+
+
+def idle_holder_doc(capacity=1, second=None):
+    """Agent 0's workflow ends at P and leaves it idle there, still holding
+    its slot; agent 1 runs ``second``, by default go to R, then to P."""
+    dwell = {"kind": "dwell", "duration": {"kind": "constant", "value": 3}}
+    second = second or [{"kind": "goto", "location": "R"}, {"kind": "goto", "location": "P"}]
+    return {
+        "map": open_map(width=12, height=6, locations={
+            "P": {"cells": [[2, 2]], "capacity": capacity},
+            "R": {"cells": [[6, 4]], "capacity": None},
+        }),
+        "agent_types": [
+            {"name": "a", "population": 1, "workflow": [{"kind": "goto", "location": "P"}]},
+            {"name": "b", "population": 1, "workflow": second + [dwell, {"kind": "depart"}]},
+        ],
+    }
+
+
+def test_waiting_on_an_idle_holder_faults_with_both_agents():
+    # agent 0 never leaves P; before detection agent 1 waited for it until
+    # the horizon and the run ended with no departures
+    with pytest.raises(SimulationFault) as err:
+        run(scenario_from(idle_holder_doc()), SimConfig(ticks=2000))
+    msg = str(err.value)
+    assert msg.startswith("capacity deadlock at tick 0: ")
+    assert "agent 1 (b) holds no slot and waits for 'P'" in msg
+    assert "agent 0 (a) holds 'P' and has ended its workflow" in msg
+
+
+@pytest.mark.parametrize("doc", [
+    idle_holder_doc(second=[{"kind": "goto", "location": "R"}]),  # nobody waits for P
+    idle_holder_doc(capacity=2),  # P keeps a free slot
+], ids=["unwanted", "free-slot"])
+def test_idle_holder_nobody_is_stuck_behind_runs_to_the_horizon(doc):
+    sim = Simulation(scenario_from(doc), SimConfig(ticks=300))
+    summary = sim.run()
+    assert summary.departures == 1
+    assert sim.agents[0].phase == "idle"
+
+
+def test_berth_points_stay_inside_the_cell_of_their_base():
+    # ring offsets around an anchor 0.01 m from a blocked cell used to
+    # place the third sitter inside the wall
+    doc = {
+        "map": open_map(blocked=[[6, 5]], locations={
+            "desk": {"cells": [[5, 5]], "capacity": 3, "anchor": [5.99, 5.5]},
+        }),
+        "agent_types": [{
+            "name": "sitter",
+            "population": 3,
+            "workflow": [
+                {"kind": "goto", "location": "desk"},
+                {"kind": "dwell", "duration": {"kind": "constant", "value": 5}},
+                {"kind": "depart"},
+            ],
+        }],
+    }
+    scenario = scenario_from(doc)
+    env = scenario.map
+    for anchor in [(5.99, 5.5), (5.0, 5.5), (5.0, 5.999), (5.5, 5.5)]:
+        loc = dataclasses.replace(env.locations["desk"], anchor=anchor)
+        points = [berth_point(env, loc, k) for k in range(60)]
+        assert all(env.cell_of(*p) == (5, 5) for p in points), anchor
+        assert len(set(points)) == len(points), anchor
+    frames, summary = collect_frames(scenario, SimConfig(ticks=10))
+    assert summary.departures == 3
+    assert all(env.walkable(env.cell_of(*p)) for f in frames for p in f.positions)
 
 
 def test_cycle_repeat_and_until_tick():
