@@ -11,6 +11,7 @@ each other in a cycle or have ended their workflow), 3 an I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -38,14 +39,41 @@ class _UsageError(ValueError):
     pass
 
 
+# argparse types: a bad value is reported as "argument --X: ..." at parse time
+def _number(text: str, ok, what: str, cast=float):
+    try:
+        value = cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _number(text, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+
+def _probability(text: str) -> float:
+    return _number(text, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _positive_int(text: str) -> int:
+    return _number(text, lambda v: v >= 1, "an integer >= 1", int)
+
+
+def _non_negative_int(text: str) -> int:
+    return _number(text, lambda v: v >= 0, "an integer >= 0", int)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radius-m", type=float, default=2.0,
+    p.add_argument("--radius-m", type=_positive_float, default=2.0,
                    help="contact radius in meters (boundary inclusive)")
-    p.add_argument("--min-duration-ticks", type=int, default=1,
+    p.add_argument("--min-duration-ticks", type=_positive_int, default=1,
                    help="drop contacts shorter than this many ticks at reporting time")
-    p.add_argument("--chunk-ticks", type=int, default=900,
+    p.add_argument("--chunk-ticks", type=_positive_int, default=900,
                    help="exposure chunk length in ticks")
-    p.add_argument("--base-p", type=float, default=0.1,
+    p.add_argument("--base-p", type=_probability, default=0.1,
                    help="per-chunk transmission probability")
     p.add_argument("--out", required=True, help="output directory for the bundle")
 
@@ -56,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a scenario and write contact matrices")
     p_run.add_argument("--scenario", required=True, help="scenario JSON path")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--ticks", type=int, required=True, help="simulation horizon in ticks")
-    p_run.add_argument("--tick-length-s", type=float, default=None,
+    p_run.add_argument("--seed", type=_non_negative_int, default=0)
+    p_run.add_argument("--ticks", type=_non_negative_int, required=True,
+                       help="simulation horizon in ticks")
+    p_run.add_argument("--tick-length-s", type=_positive_float, default=None,
                        help="override the scenario's tick length")
     p_run.add_argument("--export-frames", action="store_true",
                        help="also write the per-tick position trace (frames.csv)")
@@ -66,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser("ingest-trace", help="replay a position trace into contact matrices")
     p_ing.add_argument("--trace", required=True, help="trace CSV path")
-    p_ing.add_argument("--tick-length-s", type=float, default=1.0)
+    p_ing.add_argument("--tick-length-s", type=_positive_float, default=1.0)
     p_ing.add_argument("--populations", default=None,
                        help="override type populations, e.g. 'patient=12,nurse=4'")
     _add_common(p_ing)

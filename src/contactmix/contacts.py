@@ -13,6 +13,7 @@ Frames must arrive in dense tick order.  Closed records are never revised.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,10 @@ class ContactConfig:
     chunk_length: int = 900  # ticks per exposure chunk
 
     def __post_init__(self) -> None:
-        if self.effective_radius <= 0:
-            raise ValueError("effective_radius must be > 0")
-        if self.tick_length <= 0:
-            raise ValueError("tick_length must be > 0")
+        for name in ("effective_radius", "tick_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         if self.min_duration < 1:
             raise ValueError("min_duration must be >= 1 tick")
         if self.chunk_length < 1:

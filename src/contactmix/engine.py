@@ -11,24 +11,24 @@ cells, integrated with one Euler step per substep.  Speed is capped at a
 multiple of the agent's own desired speed, and motion never enters a blocked
 cell; a step that would do so slides along the wall or stops.
 
-Walls never move, so the wall search is a table built once per simulation
-(a cell list in the sense of Allen & Tildesley, ch. 5): for each map cell,
-padded beyond the wall ring, the walls within the largest force cutoff of
-that cell.  A substep gathers each agent's candidates from its own cell and
-applies the exact distance cutoff, keeping (agent, wall) ascending order so
-forces are summed in a fixed order.
-
-Agent-agent pairs come from a neighbour list with a skin (Verlet 1967),
-built once per tick by ``pairs_within`` at the force cutoff plus
-2 * max_speed_factor * max(v0) * tick_length, widened by a few ulps.  No pair
-outside that radius can come within the cutoff during the tick: a substep
-moves an agent by at most dt times its capped speed, and containment only
-shortens a step.  Each substep keeps the listed pairs within the cutoff by
-the distance test of ``pairs_within``, so it sees the pairs, distances and
-(a, b) order a fresh search would.  Forces are summed with ``np.bincount``,
-which adds in input order: per axis, each agent's relaxation term, then +f
-on every pair's first agent, then -f on every second agent, in pair order;
-wall forces are summed from zero the same way and then added.  Routes are
+Physics is prepared once per tick, and each substep computes only the rows
+that can change: those of moving agents; frozen agents still repel.  A
+substep moves an agent by at most dt times its capped speed and containment
+only shortens a step, so in a tick an agent travels at most
+max_speed_factor * max(v0) * tick_length.  That makes both force lists skin
+lists (Verlet 1967; Allen & Tildesley, ch. 5).  Agent pairs come from one
+``pairs_within`` search at the force cutoff plus twice that travel, widened
+by a few ulps, keeping the pairs with a moving end.  Walls never move, so
+``Simulation`` builds a wall table once: per padded map cell, the walls
+within the largest wall cutoff plus one travel.  Each tick gathers every
+moving agent's walls from the cell it starts in.  Each substep filters both
+lists by the exact cutoff tests, so it sees the pairs, walls, distances and
+order a fresh search would.  Forces are summed with ``np.bincount``, which
+adds in input order: per axis, each agent's relaxation term, then +f on
+every pair's first agent, then -f on every second agent, in pair order;
+wall forces are summed from zero in (agent, wall) order, then added.
+Containment reads one grid of cell codes: a cell's location index, -1 off
+every location, -2 where blocked and on a ring around the map.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
 
@@ -61,7 +61,7 @@ from typing import Callable
 import numpy as np
 
 from . import routing
-from .contacts import offsets_within, pairs_within
+from .contacts import pairs_within
 from .frames import TickFrame
 from .scenario import (
     Cycle,
@@ -78,6 +78,9 @@ from .scenario import (
 GOLDEN = 0.6180339887498949  # 1/phi, for quasi-random angles
 
 _EPS = 1e-12
+_NO_GATE = -3  # a gate that no cell code matches
+_SLIDES = np.array([[[False, True]], [[True, False]]])  # slide along x, along y
+_XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,12 @@ class SimConfig:
             raise ValueError("ticks must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.tick_length is not None and self.tick_length <= 0:
-            raise ValueError("tick_length must be > 0")
         if self.physics_substeps < 1:
             raise ValueError("physics_substeps must be >= 1")
-        if self.waypoint_threshold <= 0:
-            raise ValueError("waypoint_threshold must be > 0")
+        for name in ("tick_length", "waypoint_threshold"):  # tick_length None: the default
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -164,40 +167,55 @@ def _obstacle_radius(max_radius: float, params: ForceParameters, cs: float) -> f
     return max_radius + 4.0 * params.obstacle_range + cs * 0.7072
 
 
+def _tick_travel(desired_speeds: np.ndarray, params: ForceParameters, tick_length: float) -> float:
+    """The farthest one agent moves in a tick: a substep moves it by at most
+    dt times its capped speed, and containment only shortens a step."""
+    return params.max_speed_factor * float(np.abs(desired_speeds).max(initial=0.0)) * tick_length
+
+
+def _widened(radius: float, travel: float, extent: float, substeps: int) -> float:
+    """``radius + travel`` plus slack for float rounding: relative on the
+    distances, and a few ulps of the largest coordinate ``extent`` on every
+    position update."""
+    span = radius + travel + substeps * (extent + travel)
+    return radius + travel + 64.0 * np.finfo(np.float64).eps * span
+
+
 @dataclass(frozen=True)
 class _ObstacleTable:
-    """Per map cell, the walls an agent standing in that cell could feel.
+    """Per map cell, the walls an agent starting a tick in that cell could feel.
 
     Walls never move, so this is built once.  It is CSR over a padded cell
     grid: cell (x, y) has key ``(x - x0) * rows + (y - y0)`` and its walls
     are ``idx[starts[key]:starts[key + 1]]``, ascending.  Every wall whose
-    centre lies within ``reach`` of the cell's rectangle is listed, so the
-    candidates of a point in the cell include every wall centre within
-    ``reach`` of the point.  Points outside the padded grid are farther than
-    ``reach`` from every wall.
+    centre lies within ``reach + travel`` of the cell's rectangle is listed,
+    so the candidates of a point in the cell include every wall centre within
+    ``reach`` of wherever an agent starting there moves in a tick.  Points
+    outside the padded grid are farther than that from every wall, as are
+    the grid's border cells, which list none.
     """
 
     cell_size: float
     reach: float
+    travel: float
     x0: int
     y0: int
     cols: int
     rows: int
     starts: np.ndarray
     idx: np.ndarray
-    cx: np.ndarray  # wall centres, x
-    cy: np.ndarray  # wall centres, y
-    lo: np.ndarray  # wall rectangles, lower-left corners
-    hi: np.ndarray  # wall rectangles, upper-right corners
+    box: np.ndarray  # (walls, 3, 2): centre, lower-left and upper-right corner
 
 
 def _build_obstacle_table(
-    env: EnvironmentMap, max_radius: float, params: ForceParameters
+    env: EnvironmentMap, max_radius: float, params: ForceParameters,
+    travel: float = 0.0, substeps: int = 1,
 ) -> _ObstacleTable:
     cs = env.cell_size
     reach = _obstacle_radius(max_radius, params, cs)
-    # absorbs rounding in floor(x / cs) and in the squared-distance test
-    r_max = reach + 1e-6 * cs
+    # agents stay on the map; 1e-6 * cs absorbs rounding in floor(x / cs)
+    # and in the squared-distance test
+    r_max = _widened(reach, travel, max(env.width, env.height) * cs, substeps) + 1e-6 * cs
     pad = math.ceil(r_max / cs) + 1
     # cells whose rectangle lies within r_max of the centre of cell (0, 0)
     off = np.arange(-pad, pad + 1, dtype=np.int64)
@@ -216,121 +234,60 @@ def _build_obstacle_table(
     np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
     centers = (cells + 0.5) * cs
     return _ObstacleTable(
-        cell_size=cs, reach=reach, x0=x0, y0=y0, cols=cols, rows=rows,
+        cell_size=cs, reach=reach, travel=travel, x0=x0, y0=y0, cols=cols, rows=rows,
         starts=starts, idx=wall[order],
-        cx=np.ascontiguousarray(centers[:, 0]), cy=np.ascontiguousarray(centers[:, 1]),
-        lo=centers - cs / 2.0, hi=centers + cs / 2.0,
+        box=np.stack([centers, centers - cs / 2.0, centers + cs / 2.0], axis=1),
     )
 
 
-def _allowed_cells(
-    env: EnvironmentMap, points: np.ndarray, forbidden: np.ndarray, exempt: np.ndarray
-) -> np.ndarray:
-    """Per point: the cell is walkable and not gated for that agent."""
-    cs = env.cell_size
-    cx = np.floor(points[:, 0] / cs).astype(np.int64)
-    cy = np.floor(points[:, 1] / cs).astype(np.int64)
-    inside = (cx >= 0) & (cx < env.width) & (cy >= 0) & (cy < env.height)
-    ok = np.zeros(len(points), dtype=bool)
-    if inside.any():
-        gx, gy = cx[inside], cy[inside]
-        walk = env.occupancy[gx, gy]
-        loc = env.location_of_cell[gx, gy]
-        fb = forbidden[inside]
-        gate = (fb >= 0) & (loc == fb) & ~exempt[inside]
-        ok[inside] = walk & ~gate
-    return ok
+def _gather_walls(table: _ObstacleTable, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point, wall) for every wall listed in each point's table cell, points
+    ascending and each point's walls ascending."""
+    cell = np.floor(pts / table.cell_size).astype(np.int64) - (table.x0, table.y0)
+    # points beyond the padded grid take its border, where no wall is listed
+    np.maximum(cell, 0, out=cell)
+    np.minimum(cell, (table.cols - 1, table.rows - 1), out=cell)
+    key = cell[:, 0] * table.rows + cell[:, 1]
+    first = table.starts[key]
+    count = table.starts[key + 1] - first
+    point = np.repeat(np.arange(len(pts), dtype=np.int64), count)
+    shift = np.repeat(first - (np.cumsum(count) - count), count)
+    return point, table.idx[np.arange(len(point), dtype=np.int64) + shift]
+
+
+def _cell_code(env: EnvironmentMap, points: np.ndarray) -> np.ndarray:
+    """Per point, the ``EnvironmentMap.cell_codes`` entry of its cell (-2 off the map)."""
+    codes = env.cell_codes
+    cell = np.floor(points / env.cell_size).astype(np.int64) + 1
+    np.maximum(cell, 0, out=cell)
+    np.minimum(cell, (codes.shape[0] - 1, codes.shape[1] - 1), out=cell)
+    return codes[cell[:, 0], cell[:, 1]]
 
 
 def _contain(
-    env: EnvironmentMap,
-    pos: np.ndarray,
-    cand: np.ndarray,
-    vel: np.ndarray,
-    forbidden: np.ndarray,
+    env: EnvironmentMap, pos: np.ndarray, cand: np.ndarray, vel: np.ndarray, gate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truncate steps that would enter a blocked or gated cell (slide, else stop)."""
-    cs = env.cell_size
-    ccx = np.floor(pos[:, 0] / cs).astype(np.int64)
-    ccy = np.floor(pos[:, 1] / cs).astype(np.int64)
-    in_grid = (ccx >= 0) & (ccx < env.width) & (ccy >= 0) & (ccy < env.height)
-    cur_loc = np.full(len(pos), -1, dtype=np.int64)
-    cur_loc[in_grid] = env.location_of_cell[ccx[in_grid], ccy[in_grid]]
-    # an agent already standing inside its gated location may keep moving
-    exempt = (forbidden >= 0) & (cur_loc == forbidden)
+    """Truncate steps that would enter a blocked or gated cell: slide along
+    x, else along y, else stop.
 
-    ok = _allowed_cells(env, cand, forbidden, exempt)
-    bad = np.nonzero(~ok)[0]
+    ``gate`` holds, per agent, the location index whose cells it may not
+    enter, or ``_NO_GATE``.
+    """
+    m = len(pos)
+    code = _cell_code(env, np.concatenate([pos, cand]))
+    # an agent already standing inside its gated location may keep moving
+    gate = np.where(code[:m] == gate, _NO_GATE, gate)
+    bad = ((code[m:] == gate) | (code[m:] < -1)).nonzero()[0]
     if len(bad) == 0:
         return cand, vel
-    cand = cand.copy()
-    vel = vel.copy()
-
-    trial_x = np.column_stack([cand[bad, 0], pos[bad, 1]])
-    ok_x = _allowed_cells(env, trial_x, forbidden[bad], exempt[bad])
-    xi = bad[ok_x]
-    cand[xi, 0] = trial_x[ok_x, 0]
-    cand[xi, 1] = pos[xi, 1]
-    vel[xi, 1] = 0.0
-
-    rest = bad[~ok_x]
-    if len(rest):
-        trial_y = np.column_stack([pos[rest, 0], cand[rest, 1]])
-        ok_y = _allowed_cells(env, trial_y, forbidden[rest], exempt[rest])
-        yi = rest[ok_y]
-        cand[yi, 0] = pos[yi, 0]
-        cand[yi, 1] = trial_y[ok_y, 1]
-        vel[yi, 0] = 0.0
-        stay = rest[~ok_y]
-        cand[stay] = pos[stay]
-        vel[stay] = 0.0
+    p, c = pos[bad], cand[bad]
+    code = _cell_code(env, np.where(_SLIDES, p, c).reshape(-1, 2)).reshape(2, -1)
+    ok_x, ok_y = (code != gate[bad]) & (code > -2)
+    back = np.column_stack([~ok_x, ok_x | ~ok_y])  # components that stay put
+    cand, vel = cand.copy(), vel.copy()
+    cand[bad] = np.where(back, p, c)
+    vel[bad] = np.where(back, 0.0, vel[bad])
     return cand, vel
-
-
-def _obstacle_acceleration(
-    table: _ObstacleTable,
-    pos: np.ndarray,
-    radii: np.ndarray,
-    params: ForceParameters,
-) -> np.ndarray:
-    n = len(pos)
-    acc = np.zeros((n, 2))
-    if n == 0:
-        return acc
-    cs = table.cell_size
-    radius = _obstacle_radius(float(radii.max()), params, cs)
-    if radius > table.reach:
-        raise ValueError(f"obstacle table covers {table.reach} m, step needs {radius} m")
-    fx = np.floor(pos[:, 0] / cs) - table.x0
-    fy = np.floor(pos[:, 1] / cs) - table.y0
-    inside = (fx >= 0) & (fx < table.cols) & (fy >= 0) & (fy < table.rows)
-    key = (fx[inside] * table.rows + fy[inside]).astype(np.int64)
-    first = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    first[inside] = table.starts[key]
-    count[inside] = table.starts[key + 1] - first[inside]
-    # agents ascending, each agent's walls ascending: the order bincount sums in
-    agent = np.repeat(np.arange(n, dtype=np.int64), count)
-    shift = np.repeat(first - (np.cumsum(count) - count), count)
-    cell = table.idx[np.arange(len(agent), dtype=np.int64) + shift]
-    px = pos[agent, 0]
-    py = pos[agent, 1]
-    dx = px - table.cx[cell]
-    dy = py - table.cy[cell]
-    keep = dx * dx + dy * dy <= radius * radius
-    if not keep.any():
-        return acc
-    agent, cell, px, py = agent[keep], cell[keep], px[keep], py[keep]
-    # offset from the closest point of the wall rectangle
-    ox = px - np.clip(px, table.lo[cell, 0], table.hi[cell, 0])
-    oy = py - np.clip(py, table.lo[cell, 1], table.hi[cell, 1])
-    d = np.hypot(ox, oy)
-    nz = d > _EPS  # agents never sit inside a blocked cell
-    agent, ox, oy, d = agent[nz], ox[nz], oy[nz], d[nz]
-    scale = params.obstacle_strength * np.exp((radii[agent] - d) / params.obstacle_range) / d
-    acc[:, 0] = np.bincount(agent, scale * ox, minlength=n)
-    acc[:, 1] = np.bincount(agent, scale * oy, minlength=n)
-    return acc
 
 
 def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
@@ -339,116 +296,163 @@ def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
 
 
 def _skin_radius(
-    cutoff: float,
-    positions: np.ndarray,
-    desired_speeds: np.ndarray,
-    params: ForceParameters,
-    tick_length: float,
-    substeps: int,
+    cutoff: float, positions: np.ndarray, desired_speeds: np.ndarray, params: ForceParameters,
+    tick_length: float, substeps: int,
 ) -> float:
     """Search radius that finds, at the start of a tick, every pair that comes
-    within ``cutoff`` at any substep of it.
-
-    A substep moves an agent by at most dt times its capped speed, and
-    containment only shortens that step, so two agents close in by at most
-    2 * max_speed_factor * max(v0) * tick_length over the tick.  The slack
-    covers float rounding: relative on the distances, and a few ulps of the
-    largest coordinate on every position update.
-    """
-    travel = 2.0 * params.max_speed_factor * float(np.abs(desired_speeds).max()) * tick_length
-    span = cutoff + travel + substeps * (float(np.abs(positions).max()) + travel)
-    return cutoff + travel + 64.0 * np.finfo(np.float64).eps * span
+    within ``cutoff`` at any substep of it: two agents close in by at most
+    twice the travel of one."""
+    travel = 2.0 * _tick_travel(desired_speeds, params, tick_length)
+    return _widened(cutoff, travel, float(np.abs(positions).max()), substeps)
 
 
 def _near_pairs(
-    cand_a: np.ndarray, cand_b: np.ndarray, pos: np.ndarray, cutoff: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate pairs within ``cutoff``: (a, b, dx, dy, distance).
+    pairs: np.ndarray, pos: np.ndarray, cutoff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Of candidate pairs (2, p), those within ``cutoff``: (index into the
+    candidates, offsets pos[a] - pos[b] as (k, 2), distances).  The test is
+    the arithmetic of ``offsets_within``, so from candidates sorted by (a, b)
+    it keeps the pairs and distances ``pairs_within`` would, in its order."""
+    off = pos.take(pairs[0], 0) - pos.take(pairs[1], 0)  # take: row gathers, fast
+    sq = off * off
+    d2 = sq[:, 0] + sq[:, 1]
+    k = (d2 <= cutoff * cutoff).nonzero()[0]
+    return k, off.take(k, 0), np.sqrt(d2[k])
 
-    Uses the distance test of ``pairs_within``, so from candidates sorted by
-    (a, b) it returns the bytes ``pairs_within`` would, plus the offsets
-    dx, dy = pos[a] - pos[b].
+
+@dataclass(frozen=True)
+class _Tick:
+    """What every substep of one tick shares, made once by ``_prepare_tick``."""
+
+    mv: np.ndarray  # moving rows, ascending: the only rows a substep computes
+    speeds: np.ndarray  # desired speed per moving row
+    vmax: np.ndarray  # speed cap per moving row
+    pairs: np.ndarray  # (2, p): (a, b) within the skin with a moving end, ascending
+    pair_r: np.ndarray  # radius of a plus radius of b
+    bins: np.ndarray  # (m, 2): bincount bins 2 * row + axis of the moving rows
+    pair_bins: np.ndarray  # (2, p, 2): the bins of each pair's a, then of its b
+    cutoff: float
+    env: EnvironmentMap | None
+    gate: np.ndarray  # per moving row, the location index it may not enter, or _NO_GATE
+    r2: float  # squared wall cutoff
+    wall_agent: np.ndarray  # per listed wall, its moving row (rows, walls ascending)
+    wall_bins: np.ndarray  # (k, 2): bins 2 * i + axis, i counting moving rows only
+    wall_r: np.ndarray  # and its radius
+    walls: np.ndarray  # (3, k, 2): centre, lower-left and upper-right corner
+
+
+def _prepare_tick(
+    pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
+    moving: np.ndarray, forbidden: np.ndarray | None, env: EnvironmentMap | None,
+    table: _ObstacleTable | None, tick_length: float, substeps: int,
+) -> _Tick:
+    """The per-tick state of agents standing at ``pos`` when a tick starts.
+
+    Frozen agents stay force sources, but a pair of two frozen agents changes
+    nothing.  Each moving agent's walls come from the table cell it starts
+    in; the table's travel must cover ``tick_length`` at the speed cap.
     """
-    dx, dy, d2, keep = offsets_within(cand_a, cand_b, pos[:, 0], pos[:, 1], cutoff)
-    return cand_a[keep], cand_b[keep], dx[keep], dy[keep], np.sqrt(d2[keep])
+    mv = np.nonzero(moving)[0]
+    cutoff = _agent_cutoff(radii, params)
+    skin = _skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
+    pairs = np.array(pairs_within(np.arange(len(pos), dtype=np.int64), pos, skin)[:2])
+    pairs = pairs[:, moving[pairs[0]] | moving[pairs[1]]]
+    fb = np.full(len(mv), -1) if forbidden is None else forbidden[mv]
+    r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))
+    if env is not None:
+        radius = _obstacle_radius(float(radii.max()), params, table.cell_size)
+        travel = _tick_travel(speeds, params, tick_length)
+        if radius > table.reach or travel > table.travel:
+            raise ValueError(f"obstacle table covers {table.reach} m and {table.travel} m "
+                             f"of travel, step needs {radius} m and {travel} m")
+        r2 = radius * radius
+        agent, wall = _gather_walls(table, pos[mv])
+        walls = table.box.take(wall, 0).transpose(1, 0, 2)
+    return _Tick(
+        mv=mv, speeds=speeds[mv], vmax=params.max_speed_factor * speeds[mv], pairs=pairs,
+        pair_r=radii[pairs[0]] + radii[pairs[1]], bins=2 * mv[:, None] + _XY,
+        pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, env=env,
+        gate=np.where(fb >= 0, fb, _NO_GATE), r2=r2, wall_agent=agent,
+        wall_bins=2 * agent[:, None] + _XY, wall_r=radii[mv][agent], walls=walls,
+    )
+
+
+def _obstacle_acceleration(tick: _Tick, pm: np.ndarray, params: ForceParameters) -> np.ndarray:
+    """Wall forces on the moving rows standing at ``pm``: of each one's listed
+    walls, the exact cutoff test keeps the ones a lookup in its current cell
+    would, in the same (agent, wall) order."""
+    centre, lo, hi = tick.walls
+    p = pm.take(tick.wall_agent, 0)
+    sq = (p - centre) ** 2
+    off = p - np.minimum(hi, np.maximum(lo, p))  # from the closest point of the wall
+    d = np.hypot(off[:, 0], off[:, 1])
+    # agents never sit inside a blocked cell
+    k = ((sq[:, 0] + sq[:, 1] <= tick.r2) & (d > _EPS)).nonzero()[0]
+    d = d[k]
+    scale = params.obstacle_strength * np.exp((tick.wall_r[k] - d) / params.obstacle_range) / d
+    f = scale[:, None] * off.take(k, 0)
+    return np.bincount(tick.wall_bins.take(k, 0).ravel(), f.ravel(),
+                       minlength=2 * len(pm)).reshape(-1, 2)
 
 
 def social_force_step(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    targets: np.ndarray,
-    desired_speeds: np.ndarray,
-    radii: np.ndarray,
-    dt: float,
-    params: ForceParameters,
-    env: EnvironmentMap | None = None,
-    moving: np.ndarray | None = None,
-    forbidden: np.ndarray | None = None,
-    _obstacles: _ObstacleTable | None = None,
-    _candidates: tuple[np.ndarray, np.ndarray] | None = None,
+    positions: np.ndarray, velocities: np.ndarray, targets: np.ndarray,
+    desired_speeds: np.ndarray, radii: np.ndarray, dt: float, params: ForceParameters,
+    env: EnvironmentMap | None = None, moving: np.ndarray | None = None,
+    forbidden: np.ndarray | None = None, _tick: _Tick | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler substep; returns (positions, velocities) as new arrays.
 
     Agents outside ``moving`` stay frozen but still repel the others.  With
     an environment, blocked cells repel and the step is truncated so nobody
     ends up inside one; ``forbidden`` optionally names one location index per
-    agent whose cells that agent may not enter.  ``_candidates`` is a
-    superset of the agent pairs within the force cutoff, sorted by (a, b);
-    without it the step searches for them.
+    agent (-1 for none) whose cells that agent may not enter.  ``_tick`` is
+    the state ``_prepare_tick`` made for these agents at the start of the
+    tick, and then stands in for ``env``, ``moving`` and ``forbidden``;
+    without it the step prepares its own, as a tick of one substep.
     """
     n = len(positions)
     pos = np.array(positions, dtype=np.float64)
     vel = np.array(velocities, dtype=np.float64)
     if n == 0:
         return pos, vel
-    if moving is None:
-        moving = np.ones(n, dtype=bool)
-    if not moving.any():
-        return pos, vel
-
-    delta = targets - pos
+    if _tick is None:
+        table = None if env is None else _build_obstacle_table(env, float(radii.max()), params)
+        _tick = _prepare_tick(
+            pos, desired_speeds, radii, params,
+            np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, 0.0, 1,
+        )
+    t = _tick
+    mv = t.mv
+    pm, vm = pos.take(mv, 0), vel.take(mv, 0)
+    delta = targets.take(mv, 0) - pm
     dist = np.hypot(delta[:, 0], delta[:, 1])
-    ehat = np.zeros_like(delta)
-    far = dist > _EPS
-    ehat[far] = delta[far] / dist[far, None]
-    relax = (desired_speeds[:, None] * ehat - vel) / params.relaxation_time
-
-    cutoff = _agent_cutoff(radii, params)
-    if _candidates is None:
-        _candidates = pairs_within(np.arange(n, dtype=np.int64), pos, cutoff)[:2]
-    ia, ib, dx, dy, d = _near_pairs(*_candidates, pos, cutoff)
-    nz = d > _EPS
-    ux = np.divide(dx, d, out=np.zeros_like(dx), where=nz)
-    uy = np.divide(dy, d, out=np.zeros_like(dy), where=nz)
-    for k in np.nonzero(~nz)[0]:  # coincident agents
-        ux[k], uy[k] = _pair_direction(int(ia[k]), int(ib[k]))
-    mag = params.repulsion_strength * np.exp((radii[ia] + radii[ib] - d) / params.repulsion_range)
-    fx, fy = mag * ux, mag * uy
-    # one pass in input order: relaxation, then +f on each a, then -f on each b
-    who = np.concatenate([np.arange(n, dtype=np.int64), ia, ib])
-    acc = np.empty((n, 2))
-    acc[:, 0] = np.bincount(who, np.concatenate([relax[:, 0], fx, -fx]), minlength=n)
-    acc[:, 1] = np.bincount(who, np.concatenate([relax[:, 1], fy, -fy]), minlength=n)
-
-    if env is not None:
-        table = _obstacles
-        if table is None:
-            table = _build_obstacle_table(env, float(radii.max()), params)
-        acc += _obstacle_acceleration(table, pos, radii, params)
-
-    mv = moving
-    v = vel[mv] + dt * acc[mv]
-    vmax = params.max_speed_factor * desired_speeds[mv]
+    ehat = np.divide(delta, dist[:, None], out=np.zeros(delta.shape), where=dist[:, None] > _EPS)
+    relax = (t.speeds[:, None] * ehat - vm) / params.relaxation_time
+    k, off, d = _near_pairs(t.pairs, pos, t.cutoff)
+    nz = (d > _EPS)[:, None]
+    u = np.divide(off, d[:, None], out=np.zeros(off.shape), where=nz)
+    for j in (~nz[:, 0]).nonzero()[0]:  # coincident agents
+        u[j] = _pair_direction(*t.pairs[:, k[j]].tolist())
+    mag = params.repulsion_strength * np.exp((t.pair_r[k] - d) / params.repulsion_range)
+    f = mag[:, None] * u
+    # one pass in input order, per axis: relaxation, then +f on each a, then
+    # -f on each b; rows of frozen agents collect their terms too, and are dropped
+    bins = np.concatenate([t.bins.ravel(), t.pair_bins.take(k, 1).ravel()])
+    weights = np.concatenate([relax, f, -f]).ravel()
+    acc = np.bincount(bins, weights, minlength=2 * n).take(t.bins)
+    if len(t.wall_agent):  # else the wall term is +0.0, and bincount never sums to -0.0
+        acc += _obstacle_acceleration(t, pm, params)
+    v = vm + dt * acc
     speed = np.hypot(v[:, 0], v[:, 1])
-    over = speed > vmax
+    over = speed > t.vmax
     if over.any():
-        v[over] *= (vmax[over] / speed[over])[:, None]
-    cand = pos[mv] + dt * v
-    if env is not None:
-        fb = forbidden[mv] if forbidden is not None else np.full(int(mv.sum()), -1, dtype=np.int64)
-        cand, v = _contain(env, pos[mv], cand, v, fb)
-    pos[mv] = cand
-    vel[mv] = v
+        v[over] *= (t.vmax[over] / speed[over])[:, None]
+    cand = pm + dt * v
+    if t.env is not None:
+        cand, v = _contain(t.env, pm, cand, v, t.gate)
+    pos.put(t.bins, cand)
+    vel.put(t.bins, v)
     return pos, vel
 
 
@@ -588,9 +592,6 @@ class Simulation:
         self.env = scenario.map
         self.tick_length = config.tick_length if config.tick_length is not None else scenario.tick_length
         self.type_names = scenario.type_names
-        self._obstacles = _build_obstacle_table(
-            self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces
-        )
         self._routes: dict[tuple, tuple] = {}  # (start cell, goal cell) -> route cells
         # routes share one tuple per cell, so the memo grows by a pointer per step
         self._route_cells: dict[tuple, tuple] = {}
@@ -609,6 +610,11 @@ class Simulation:
         self.v0 = np.array([a.v0 for a in self.agents], dtype=np.float64)
         self.radius = np.array([a.spec.radius for a in self.agents], dtype=np.float64)
         self.present = np.zeros(n, dtype=bool)
+        # wide enough that a tick's wall list, gathered where agents start it, holds
+        self._obstacles = _build_obstacle_table(
+            self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces,
+            _tick_travel(self.v0, config.forces, self.tick_length), config.physics_substeps,
+        )
 
         self.loc_state = {name: _LocationState(loc) for name, loc in self.env.locations.items()}
         self.arrivals = 0
@@ -833,11 +839,10 @@ class Simulation:
     # -- physics ---------------------------------------------------------------
 
     def _advance_waypoints(self, g_idx: np.ndarray, pos: np.ndarray, tgt: np.ndarray,
-                           moving: np.ndarray) -> None:
+                           mv: np.ndarray) -> None:
         thr = self.config.waypoint_threshold
-        d2 = (pos[:, 0] - tgt[:, 0]) ** 2 + (pos[:, 1] - tgt[:, 1]) ** 2
-        near = np.nonzero(moving & (d2 <= thr * thr))[0]
-        for li in near:
+        off = pos.take(mv, 0) - tgt.take(mv, 0)
+        for li in mv[off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr]:
             ag = self.agents[g_idx[li]]
             if not ag.waypoints:
                 continue
@@ -847,9 +852,8 @@ class Simulation:
                     break
                 ag.wp_i += 1
             wx, wy = ag.waypoints[ag.wp_i]
-            if ag.wp_i == len(ag.waypoints) - 1 and (pos[li, 0] - wx) ** 2 + (
-                pos[li, 1] - wy
-            ) ** 2 <= thr * thr:
+            last = ag.wp_i == len(ag.waypoints) - 1
+            if last and (pos[li, 0] - wx) ** 2 + (pos[li, 1] - wy) ** 2 <= thr * thr:
                 tgt[li] = pos[li]  # close enough: brake and let the workflow take over
             else:
                 tgt[li] = (wx, wy)
@@ -858,36 +862,25 @@ class Simulation:
         g_idx = np.nonzero(self.present)[0]
         if len(g_idx) == 0:
             return
-        pos = self.pos[g_idx]
-        vel = self.vel[g_idx]
-        tgt = self.tgt[g_idx]
-        speeds = self.v0[g_idx]
-        radii = self.radius[g_idx]
         here = [self.agents[i] for i in g_idx]
         moving = np.array([ag.phase == "moving" for ag in here], dtype=bool)
         if not moving.any():
             return  # nobody moves, and frozen agents already stand still
+        pos, vel, tgt = self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx]
+        speeds, radii = self.v0[g_idx], self.radius[g_idx]
         # each waiter keeps off the cells of the location it waits for
         index = self.env.location_index
         fb = np.array([index.get(ag.pending_loc, -1) for ag in here], dtype=np.int64)
         substeps = self.config.physics_substeps
         dt = self.tick_length / substeps
-        # one neighbour search per tick; each substep filters it to the cutoff
-        skin = _skin_radius(
-            _agent_cutoff(radii, self.config.forces), pos, speeds, self.config.forces,
-            self.tick_length, substeps,
-        )
-        candidates = pairs_within(np.arange(len(g_idx), dtype=np.int64), pos, skin)[:2]
+        # one neighbour search and one wall gather per tick; substeps filter them
+        tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, fb, self.env,
+                             self._obstacles, self.tick_length, substeps)
         for _ in range(substeps):
-            self._advance_waypoints(g_idx, pos, tgt, moving)
-            pos, vel = social_force_step(
-                pos, vel, tgt, speeds, radii, dt, self.config.forces,
-                env=self.env, moving=moving, forbidden=fb, _obstacles=self._obstacles,
-                _candidates=candidates,
-            )
-        self.pos[g_idx] = pos
-        self.vel[g_idx] = vel
-        self.tgt[g_idx] = tgt
+            self._advance_waypoints(g_idx, pos, tgt, tick.mv)
+            pos, vel = social_force_step(pos, vel, tgt, speeds, radii, dt, self.config.forces,
+                                         _tick=tick)
+        self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
 
     # -- main loop ---------------------------------------------------------------
 

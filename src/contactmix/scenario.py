@@ -285,26 +285,23 @@ class EnvironmentMap:
         return frozenset(every) - self.blocked
 
     @cached_property
-    def occupancy(self) -> np.ndarray:
-        """Boolean (width, height) array, True where the cell is walkable."""
-        occ = np.ones((self.width, self.height), dtype=bool)
-        for x, y in self.blocked:
-            occ[x, y] = False
-        return occ
-
-    @cached_property
     def location_index(self) -> dict[str, int]:
         """Location name -> index, numbered in sorted name order."""
         return {name: i for i, name in enumerate(sorted(self.locations))}
 
     @cached_property
-    def location_of_cell(self) -> np.ndarray:
-        """Int (width, height) array mapping each cell to a location index, -1 if none."""
-        idx = np.full((self.width, self.height), -1, dtype=np.int32)
+    def cell_codes(self) -> np.ndarray:
+        """Int (width + 2, height + 2) array over the map padded by one ring of
+        cells: -2 where blocked or off the map, else the cell's location index,
+        -1 if it is in none.  Cell (x, y) is at [x + 1, y + 1]."""
+        codes = np.full((self.width + 2, self.height + 2), -2, dtype=np.int64)
+        codes[1:-1, 1:-1] = -1
         for name, i in self.location_index.items():
             for x, y in self.locations[name].cells:
-                idx[x, y] = i
-        return idx
+                codes[x + 1, y + 1] = i
+        for x, y in self.blocked:
+            codes[x + 1, y + 1] = -2
+        return codes
 
 
 def _parse_cell(obj: Any, where: str, m: dict[str, Any]) -> tuple[int, int]:

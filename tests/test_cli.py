@@ -347,6 +347,46 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_NUMBERS = [
+    ("--tick-length-s", v) for v in ("0", "-1", "nan", "inf", "x")
+] + [
+    ("--radius-m", v) for v in ("0", "nan", "inf", "-inf")
+] + [
+    ("--base-p", v) for v in ("2", "-0.1", "nan", "inf")
+] + [
+    ("--chunk-ticks", v) for v in ("0", "-5", "1.5")
+] + [
+    ("--min-duration-ticks", "0"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "ingest-trace"])
+@pytest.mark.parametrize("option, value", BAD_NUMBERS)
+def test_bad_numeric_option_exits_1_at_parse_time(command, option, value, clinic, golden_trace,
+                                                    tmp_path, capsys):
+    out = tmp_path / "o"
+    if command == "run":
+        argv = ["run", "--scenario", clinic, "--ticks", 50]
+    else:
+        argv = ["ingest-trace", "--trace", golden_trace]
+    code = run_cli(*argv, f"{option}={value}", "--out", out)
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"error: argument {option}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--ticks", "-1"), ("--seed", "-1"), ("--ticks", "2.5")])
+def test_bad_run_count_exits_1_at_parse_time(option, value, clinic, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", clinic, "--ticks", 50, f"{option}={value}", "--out", out]
+    assert run_cli(*argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"error: argument {option}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def console_command():
     """The installed ``contactmix`` script, else its source-tree equivalent.
 

@@ -140,6 +140,13 @@ def test_config_validation():
         ContactConfig(tick_length=0.0)
 
 
+
+@pytest.mark.parametrize("name", ["effective_radius", "tick_length"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_config_rejects_non_positive_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        ContactConfig(**{name: value})
+
 def test_running_mean_and_duration(golden):
     led = make_ledger()
     for f in golden[:1]:

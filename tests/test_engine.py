@@ -14,7 +14,9 @@ from contactmix.engine import (
     Simulation,
     SimulationFault,
     _build_obstacle_table,
+    _gather_walls,
     _obstacle_acceleration,
+    _prepare_tick,
     berth_point,
     run,
     social_force_step,
@@ -213,15 +215,42 @@ def test_obstacle_table_matches_direct_search(cell_size, obstacle_range, monkeyp
         # a table sized for exactly these radii, and one for a larger type
         for max_radius in (float(radii.max()), 0.6):
             table = _build_obstacle_table(env, max_radius, params)
-            got = _obstacle_acceleration(table, pos, radii, params)
+            got = wall_forces(env, table, pos, radii, params)
             assert np.array_equal(got, want), (trial, max_radius)
+
+
+def wall_forces(env, table, pos, radii, params, tick_length=0.0):
+    """Wall forces on agents at ``pos``, all moving, through the per-tick wall list."""
+    n = len(pos)
+    tick = _prepare_tick(pos, np.ones(n), radii, params, np.ones(n, dtype=bool), None,
+                         env, table, tick_length, 1)
+    return _obstacle_acceleration(tick, pos, params)
+
+
+def test_points_beyond_the_padded_grid_feel_no_wall():
+    params = ForceParameters()
+    env = scenario_from({"map": open_map(width=6, height=5, blocked=[[2, 2]])}).map
+    table = _build_obstacle_table(env, 0.25, params, travel=2.0, substeps=10)
+    far = np.array([[-1e3, 2.5], [2.5, 1e3], [1e9, -1e9], [-1e12, 1e12], [6.0 + 40.0, 2.5]])
+    assert len(_gather_walls(table, far)[0]) == 0
+    got = wall_forces(env, table, far, np.full(len(far), 0.25), params)
+    assert np.array_equal(got, reference_obstacle_acceleration(env, far, np.full(5, 0.25), params))
 
 
 def test_obstacle_table_rejects_radius_beyond_its_reach():
     env = scenario_from({"map": open_map()}).map
     table = _build_obstacle_table(env, 0.25, ForceParameters())
     with pytest.raises(ValueError, match="obstacle table"):
-        _obstacle_acceleration(table, np.array([[5.0, 5.0]]), np.array([0.5]), ForceParameters())
+        wall_forces(env, table, np.array([[5.0, 5.0]]), np.array([0.5]), ForceParameters())
+
+
+def test_obstacle_table_rejects_travel_beyond_its_reach():
+    env = scenario_from({"map": open_map()}).map
+    table = _build_obstacle_table(env, 0.25, ForceParameters(), travel=1.3)
+    pos, radii = np.array([[5.0, 5.0]]), np.array([0.25])
+    wall_forces(env, table, pos, radii, ForceParameters(), tick_length=1.0)  # 1.3 m: covered
+    with pytest.raises(ValueError, match="obstacle table"):
+        wall_forces(env, table, pos, radii, ForceParameters(), tick_length=1.01)
 
 
 # --- SimConfig validation ---------------------------------------------------------
@@ -234,6 +263,16 @@ def test_sim_config_validation():
         SimConfig(ticks=1, physics_substeps=0)
     with pytest.raises(ValueError):
         SimConfig(ticks=1, tick_length=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tick_length", v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan)
+] + [
+    ("waypoint_threshold", v) for v in (0.0, -0.5, math.inf, math.nan)
+])
+def test_sim_config_rejects_non_positive_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        SimConfig(ticks=1, **{name: value})
 
 
 @pytest.mark.parametrize("name", [

@@ -1,12 +1,17 @@
-"""The engine's per-tick neighbour list and bincount sums against the old substep.
+"""The engine's per-tick physics kernel against the old substep.
 
-``Simulation._physics`` searches for agent pairs once per tick, at a radius
-widened by the distance two agents can close in a tick, and every substep
-filters that list to the force cutoff.  Forces are summed with
-``np.bincount``.  The reference below is the substep as it was before: a
-``pairs_within`` search on every substep and ``np.add.at`` sums.  Both must
-give the same bytes, substep after substep, on crowds at the speed cap, in
-head-on approach, against walls, coincident and isolated.
+``Simulation._physics`` prepares once per tick what its substeps share: the
+moving rows, the agent pairs within a skin radius that have a moving end,
+each moving agent's walls gathered where it starts the tick from a table
+widened by one agent's tick travel, and the gates.  Every substep then
+computes moving rows only, filters both lists by the exact cutoffs and sums
+forces with ``np.bincount``.  The reference below is the substep as it was
+before: a ``pairs_within`` search and a wall lookup in each agent's current
+cell on every substep, forces for every agent, ``np.add.at`` sums, and
+containment by separate walkability and location lookups.  Both must give
+the same bytes, substep after substep, on crowds at the speed cap, in
+head-on approach, against walls, coincident and isolated, with any share of
+the agents moving.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactmix.contacts import BRUTE_FORCE_MAX_N, pairs_within
@@ -22,10 +28,13 @@ from contactmix.engine import (
     ForceParameters,
     _agent_cutoff,
     _build_obstacle_table,
-    _contain,
+    _gather_walls,
     _near_pairs,
+    _obstacle_radius,
     _pair_direction,
+    _prepare_tick,
     _skin_radius,
+    _tick_travel,
     social_force_step,
 )
 from contactmix.scenario import parse_scenario
@@ -52,20 +61,83 @@ def reference_obstacle_acceleration(table, pos, radii, params):
     agent = np.repeat(np.arange(n, dtype=np.int64), count)
     shift = np.repeat(first - (np.cumsum(count) - count), count)
     cell = table.idx[np.arange(len(agent), dtype=np.int64) + shift]
-    dx = pos[agent, 0] - table.cx[cell]
-    dy = pos[agent, 1] - table.cy[cell]
+    dx = pos[agent, 0] - table.box[cell, 0, 0]
+    dy = pos[agent, 1] - table.box[cell, 0, 1]
     keep = dx * dx + dy * dy <= radius * radius
     if not keep.any():
         return acc
     agent = agent[keep]
     cell = cell[keep]
-    closest = np.clip(pos[agent], table.lo[cell], table.hi[cell])
+    closest = np.clip(pos[agent], table.box[cell, 1], table.box[cell, 2])
     dvec = pos[agent] - closest
     d = np.hypot(dvec[:, 0], dvec[:, 1])
     nz = d > _EPS
     mag = params.obstacle_strength * np.exp((radii[agent[nz]] - d[nz]) / params.obstacle_range)
     np.add.at(acc, agent[nz], (mag / d[nz])[:, None] * dvec[nz])
     return acc
+
+
+def reference_grids(env):
+    """The old per-cell lookups: walkable, and location index (-1 for none)."""
+    walk = np.ones((env.width, env.height), dtype=bool)
+    for x, y in env.blocked:
+        walk[x, y] = False
+    loc = np.full((env.width, env.height), -1, dtype=np.int64)
+    for name, i in env.location_index.items():
+        for x, y in env.locations[name].cells:
+            loc[x, y] = i
+    return walk, loc
+
+
+def reference_allowed(env, points, forbidden, exempt):
+    """Per point: the cell is walkable and not gated for that agent."""
+    walk, loc = reference_grids(env)
+    cs = env.cell_size
+    cx = np.floor(points[:, 0] / cs).astype(np.int64)
+    cy = np.floor(points[:, 1] / cs).astype(np.int64)
+    inside = (cx >= 0) & (cx < env.width) & (cy >= 0) & (cy < env.height)
+    ok = np.zeros(len(points), dtype=bool)
+    if inside.any():
+        gx, gy = cx[inside], cy[inside]
+        fb = forbidden[inside]
+        gate = (fb >= 0) & (loc[gx, gy] == fb) & ~exempt[inside]
+        ok[inside] = walk[gx, gy] & ~gate
+    return ok
+
+
+def reference_contain(env, pos, cand, vel, forbidden):
+    """The old containment: slide along x, else along y, else stop."""
+    cs = env.cell_size
+    ccx = np.floor(pos[:, 0] / cs).astype(np.int64)
+    ccy = np.floor(pos[:, 1] / cs).astype(np.int64)
+    in_grid = (ccx >= 0) & (ccx < env.width) & (ccy >= 0) & (ccy < env.height)
+    cur_loc = np.full(len(pos), -1, dtype=np.int64)
+    cur_loc[in_grid] = reference_grids(env)[1][ccx[in_grid], ccy[in_grid]]
+    exempt = (forbidden >= 0) & (cur_loc == forbidden)
+    ok = reference_allowed(env, cand, forbidden, exempt)
+    bad = np.nonzero(~ok)[0]
+    if len(bad) == 0:
+        return cand, vel
+    cand = cand.copy()
+    vel = vel.copy()
+    trial_x = np.column_stack([cand[bad, 0], pos[bad, 1]])
+    ok_x = reference_allowed(env, trial_x, forbidden[bad], exempt[bad])
+    xi = bad[ok_x]
+    cand[xi, 0] = trial_x[ok_x, 0]
+    cand[xi, 1] = pos[xi, 1]
+    vel[xi, 1] = 0.0
+    rest = bad[~ok_x]
+    if len(rest):
+        trial_y = np.column_stack([pos[rest, 0], cand[rest, 1]])
+        ok_y = reference_allowed(env, trial_y, forbidden[rest], exempt[rest])
+        yi = rest[ok_y]
+        cand[yi, 0] = pos[yi, 0]
+        cand[yi, 1] = trial_y[ok_y, 1]
+        vel[yi, 0] = 0.0
+        stay = rest[~ok_y]
+        cand[stay] = pos[stay]
+        vel[stay] = 0.0
+    return cand, vel
 
 
 def reference_step(pos, vel, targets, speeds, radii, dt, params, env, moving, forbidden, table):
@@ -103,7 +175,7 @@ def reference_step(pos, vel, targets, speeds, radii, dt, params, env, moving, fo
     over = speed > vmax
     if over.any():
         v[over] *= (vmax[over] / speed[over])[:, None]
-    cand, v = _contain(env, pos[mv], pos[mv] + dt * v, v, forbidden[mv])
+    cand, v = reference_contain(env, pos[mv], pos[mv] + dt * v, v, forbidden[mv])
     pos[mv] = cand
     vel[mv] = v
     return pos, vel
@@ -113,8 +185,12 @@ def walled_env():
     """A wall with a doorway splits the crowd's half; pillars stand in it."""
     blocked = [[10, y] for y in range(HEIGHT) if not 10 <= y < 13]
     blocked += [[4, 5], [5, 5], [15, 18], [15, 19], [16, 18]]
+    locations = {
+        "desk": {"cells": [[x, y] for x in range(12, 15) for y in range(2, 5)]},
+        "ward": {"cells": [[x, y] for x in range(5, 9) for y in range(15, 19)]},
+    }
     doc = {"map": {"cell_size_m": 1.0, "width": WIDTH, "height": HEIGHT,
-                   "blocked": blocked, "locations": {}}}
+                   "blocked": blocked, "locations": locations}}
     return parse_scenario(json.dumps(doc)).map
 
 
@@ -175,6 +251,30 @@ def tick_setup(n, seed, relaxation_time):
     return params, radii, speeds, tick_length, cutoff, pos, vel, targets, moving, forbidden
 
 
+def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length,
+                substeps, env=ENV):
+    """One tick as ``Simulation._physics`` runs it, each substep checked against
+    ``reference_step`` bit for bit; returns the tick state and the positions
+    at the start of every substep."""
+    table = _build_obstacle_table(
+        env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
+    )
+    tick = _prepare_tick(pos, speeds, radii, params, moving, forbidden, env, table,
+                         tick_length, substeps)
+    dt = tick_length / substeps
+    ref_pos, ref_vel = pos, vel
+    starts = []
+    for step in range(substeps):
+        starts.append(pos)
+        pos, vel = social_force_step(pos, vel, targets, speeds, radii, dt, params, _tick=tick)
+        ref_pos, ref_vel = reference_step(
+            ref_pos, ref_vel, targets, speeds, radii, dt, params, env, moving, forbidden, table
+        )
+        assert pos.tobytes() == ref_pos.tobytes(), step
+        assert vel.tobytes() == ref_vel.tobytes(), step
+    return tick, starts
+
+
 @given(
     n=st.one_of(st.integers(2, BRUTE_FORCE_MAX_N), st.integers(BRUTE_FORCE_MAX_N + 1, 260)),
     seed=st.integers(0, 2**32 - 1),
@@ -186,28 +286,101 @@ def test_skin_list_and_bincount_match_the_per_substep_search(n, seed, relaxation
     params, radii, speeds, tick_length, cutoff, pos, vel, targets, moving, forbidden = (
         tick_setup(n, seed, relaxation_time)
     )
-    table = _build_obstacle_table(ENV, float(radii.max()), params)
     ids = np.arange(n, dtype=np.int64)
     skin = _skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
     candidates = pairs_within(ids, pos, skin)[:2]
-    dt = tick_length / substeps
-    ref_pos, ref_vel = pos, vel
-    for step in range(substeps):
-        ia, ib, _, _, d = _near_pairs(*candidates, pos, cutoff)
+    tick, starts = kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden,
+                               tick_length, substeps)
+    for step, pos in enumerate(starts):
+        k, _, d = _near_pairs(np.stack(candidates), pos, cutoff)
+        ia, ib = candidates[0][k], candidates[1][k]
         want = pairs_within(ids, pos, cutoff)
         for got_col, want_col in zip((ia, ib, d), want):
             assert got_col.tobytes() == want_col.tobytes(), step
-        pos, vel = social_force_step(
-            pos, vel, targets, speeds, radii, dt, params, env=ENV, moving=moving,
-            forbidden=forbidden, _obstacles=table, _candidates=candidates,
-        )
-        ref_pos, ref_vel = reference_step(
-            ref_pos, ref_vel, targets, speeds, radii, dt, params, ENV, moving, forbidden, table
-        )
-        assert pos.tobytes() == ref_pos.tobytes(), step
-        assert vel.tobytes() == ref_vel.tobytes(), step
+    # the tick keeps exactly the listed pairs with a moving end
+    mixed = moving[candidates[0]] | moving[candidates[1]]
+    assert tick.pairs[0].tobytes() == candidates[0][mixed].tobytes()
+    assert tick.pairs[1].tobytes() == candidates[1][mixed].tobytes()
     # the loner had no neighbour all tick
     assert not np.any((candidates[0] == n - 1) | (candidates[1] == n - 1))
+
+
+def gated_setup(n, seed, fraction):
+    """``tick_setup`` with ``fraction`` of the agents moving, and gates: some
+    agents stand inside the location they are kept out of, some head into it
+    from just outside, the rest are gated at random or not at all."""
+    params, radii, speeds, tick_length, cutoff, pos, vel, targets, _, _ = (
+        tick_setup(n, seed, 5.0)
+    )
+    rng = np.random.default_rng([seed, 1])
+    moving = np.zeros(n, dtype=bool)
+    moving[rng.permutation(n)[: round(fraction * n)]] = True
+    index = ENV.location_index
+    forbidden = rng.choice([-1, index["desk"], index["ward"]], size=n)
+    for k, i in enumerate(rng.permutation(n - 1)[:6]):
+        forbidden[i] = index["ward"]
+        if k < 3:  # inside the ward, free to move about in it
+            pos[i] = (rng.uniform(5.05, 8.95), rng.uniform(15.05, 18.95))
+        else:  # outside its lower edge, heading in
+            pos[i] = (rng.uniform(5.05, 8.95), 15.0 - rng.uniform(0.01, 0.3))
+        vel[i] = (0.0, params.max_speed_factor * speeds[i])
+        targets[i] = (pos[i, 0], 30.0)
+    return params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden
+
+
+@pytest.mark.parametrize("n", [40, BRUTE_FORCE_MAX_N + 30])
+@pytest.mark.parametrize("fraction", [0.0, 0.17, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_any_share_of_moving_agents_matches_the_reference(n, fraction, seed):
+    params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
+        gated_setup(n, seed, fraction)
+    )
+    tick, _ = kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden,
+                          tick_length, 10)
+    assert tick.mv.tobytes() == np.nonzero(moving)[0].tobytes()
+
+
+def test_a_tick_where_only_frozen_agents_are_near_each_other():
+    """The only pair within the cutoff is two frozen agents: the tick lists no
+    pair, the mover feels nobody, and nobody frozen moves."""
+    params = ForceParameters()
+    radii = np.full(3, 0.25)
+    speeds = np.full(3, 1.2)
+    pos = np.array([[2.5, 20.5], [2.9, 20.5], [18.0, 3.0]])
+    vel = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.5]])
+    targets = np.array([[2.5, 20.5], [2.9, 20.5], [18.0, 20.0]])
+    moving = np.array([False, False, True])
+    assert len(pairs_within(np.arange(3), pos, _agent_cutoff(radii, params))[0]) == 1
+    tick, starts = kernel_tick(pos, vel, targets, speeds, radii, params, moving,
+                               np.full(3, -1), 1.0, 10)
+    assert tick.pairs.shape == (2, 0)
+    for p in starts:
+        assert p[:2].tobytes() == pos[:2].tobytes()
+
+
+@pytest.mark.parametrize("late", [0.6, 0.7, 0.8, 0.85])
+def test_wall_that_enters_the_cutoff_late_in_the_tick(late):
+    """An agent at the speed cap heads straight at a wall whose centre starts
+    ``late`` of the agent's tick travel beyond the wall cutoff.  The wall comes
+    within the cutoff only in the tick's last substeps, and a table without the
+    travel term does not list it for the cell the agent starts in."""
+    params = ForceParameters(relaxation_time=1e9)
+    radii, speeds = np.array([0.25]), np.array([1.6])
+    tick_length, substeps = 1.0, 10
+    travel = _tick_travel(speeds, params, tick_length)
+    radius = _obstacle_radius(0.25, params, ENV.cell_size)
+    wall = np.array([10.5, 5.5])  # centre of blocked cell (10, 5)
+    pos = np.array([[wall[0] - radius - late * travel, wall[1]]])
+    vel = np.array([[params.max_speed_factor * speeds[0], 0.0]])
+    targets = np.array([[40.0, wall[1]]])
+    narrow = _build_obstacle_table(ENV, 0.25, params)
+    listed = _gather_walls(narrow, pos)[1]
+    assert not np.any(np.all(narrow.box[listed, 0] == wall, axis=1))
+    _, starts = kernel_tick(pos, vel, targets, speeds, radii, params, np.array([True]),
+                            np.full(1, -1), tick_length, substeps)
+    inside = [float(np.hypot(*(p[0] - wall))) <= radius for p in starts]
+    assert not inside[0] and inside[-1]
+    assert inside.index(True) >= round(late * substeps)
 
 
 def test_head_on_pair_at_the_cap_is_found_on_the_last_substep():
@@ -226,11 +399,11 @@ def test_head_on_pair_at_the_cap_is_found_on_the_last_substep():
     pos = np.array([[0.0, 0.0], [gap, 0.0]])
     vel = np.array([[1.3, 0.0], [-1.3, 0.0]])
     targets = np.array([[100.0, 0.0], [-100.0, 0.0]])
-    candidates = pairs_within(np.arange(2), pos, skin)[:2]
-    assert len(candidates[0]) == 1
+    tick = _prepare_tick(pos, speeds, radii, params, np.ones(2, dtype=bool), None, None, None,
+                         1.0, substeps)
+    assert tick.pairs.shape == (2, 1)
     found = []
     for _ in range(substeps):
-        found.append(len(_near_pairs(*candidates, pos, cutoff)[0]))
-        pos, vel = social_force_step(pos, vel, targets, speeds, radii, 0.1, params,
-                                     _candidates=candidates)
+        found.append(len(_near_pairs(tick.pairs, pos, cutoff)[0]))
+        pos, vel = social_force_step(pos, vel, targets, speeds, radii, 0.1, params, _tick=tick)
     assert found == [0] * (substeps - 1) + [1]
