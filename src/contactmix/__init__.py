@@ -24,8 +24,8 @@ from .contacts import (
     ContactConfig,
     ContactLedger,
     ContactRecord,
+    FrameError,
     NonMonotonicTickError,
-    neighbor_pairs,
     pairs_within,
 )
 from .engine import (
@@ -59,6 +59,7 @@ __all__ = [
     "Distribution",
     "EnvironmentMap",
     "ForceParameters",
+    "FrameError",
     "NoRouteError",
     "NonMonotonicTickError",
     "PairTable",
@@ -77,7 +78,6 @@ __all__ = [
     "load_scenario",
     "matrix_from_csv",
     "max_unique_contacts",
-    "neighbor_pairs",
     "pair_summaries",
     "pairs_within",
     "parse_scenario",

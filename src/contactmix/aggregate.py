@@ -33,7 +33,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .contacts import ContactLedger
+from .contacts import ContactLedger, pair_key
 
 METRICS = ("count", "duration", "distance")
 
@@ -71,8 +71,8 @@ class PairTable:
 
     def row(self, id_a: int, id_b: int) -> int | None:
         """Row of the pair (ids in either order), or None if it never met."""
-        keys = (self.id_a << 32) | self.id_b
-        key = (min(id_a, id_b) << 32) | max(id_a, id_b)
+        keys = pair_key(self.id_a, self.id_b)
+        key = pair_key(min(id_a, id_b), max(id_a, id_b))
         i = int(np.searchsorted(keys, key))
         return i if i < len(keys) and keys[i] == key else None
 
@@ -86,12 +86,14 @@ def pair_summaries(ledger: ContactLedger, min_duration: int | None = None) -> Pa
         raise ValueError("min_duration must be >= 1 tick")
     c = ledger.columns()
     keep = c["duration"] >= tau
-    keys = (c["id_a"][keep] << 32) | c["id_b"][keep]
-    uniq, inv = np.unique(keys, return_inverse=True)
+    id_a, id_b = c["id_a"][keep], c["id_b"][keep]
+    uniq, inv = np.unique(pair_key(id_a, id_b), return_inverse=True)
     n = len(uniq)
+    pair_ids = np.empty((2, n), dtype=np.int64)
+    pair_ids[:, inv] = id_a, id_b  # every record of a row holds the same pair
     return PairTable(
-        id_a=uniq >> 32,
-        id_b=uniq & 0xFFFFFFFF,
+        id_a=pair_ids[0],
+        id_b=pair_ids[1],
         count=np.bincount(inv, minlength=n),
         duration=np.bincount(inv, weights=c["duration"][keep], minlength=n).astype(np.int64),
         dist_sum=np.bincount(inv, weights=c["dist_sum"][keep], minlength=n),

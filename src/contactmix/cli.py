@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .contacts import ContactConfig, ContactLedger, NonMonotonicTickError
+from .contacts import ContactConfig, ContactLedger, FrameError
 from .engine import SimConfig, SimulationFault, run
 from .frames import TraceFormatError, read_frames, write_frames
 from .report import write_bundle
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_ingest(args)
-    except (_UsageError, ScenarioError, TraceFormatError, NonMonotonicTickError) as e:
+    except (_UsageError, ScenarioError, TraceFormatError, FrameError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except SimulationFault as e:

@@ -8,6 +8,14 @@ is closed but kept; if the pair meets again later a fresh record is opened,
 so one pair can contribute several contacts over a run.
 
 Frames must arrive in dense tick order.  Closed records are never revised.
+A frame the ledger cannot accept raises ``FrameError`` and changes nothing.
+
+The ledger stores five columns per record: ``id_a``, ``id_b``, ``start``,
+``duration`` and ``dist_sum``.  ``columns()`` derives the other four when
+read: ``last`` is ``start + duration - 1`` (a record grows by one tick per
+frame), ``open`` marks the records of the latest frame's pairs until
+``finalize``, and ``type_a``/``type_b`` come from the roster, since an agent
+never changes type.
 """
 
 from __future__ import annotations
@@ -20,10 +28,19 @@ import numpy as np
 
 from .frames import TickFrame
 
-_ID_LIMIT = 1 << 31  # ids are packed two-per-int64 for the open-pair index
+_ID_LIMIT = 2**31  # ids are packed two-per-int64 by pair_key
 
 
-class NonMonotonicTickError(ValueError):
+def pair_key(a, b):
+    """One int64 per id pair (ids in [0, 2^31)) that sorts as (a, b)."""
+    return (a << 32) | b
+
+
+class FrameError(ValueError):
+    """The ledger rejected a frame; it is left as it was before the frame."""
+
+
+class NonMonotonicTickError(FrameError):
     """Frames were observed out of dense tick order."""
 
 
@@ -165,18 +182,11 @@ def pairs_within(
     a = np.minimum(ids_i, ids_j)
     b = np.maximum(ids_i, ids_j)
     # a <= b elementwise, so these two bounds cover all four extremes
-    if len(a) and a.min() >= 0 and int(b.max()) < 1 << 31:
-        order_out = np.argsort((a << 31) | b, kind="stable")
+    if len(a) and a.min() >= 0 and int(b.max()) < _ID_LIMIT:
+        order_out = np.argsort(pair_key(a, b), kind="stable")
     else:
         order_out = np.lexsort((b, a))
     return a[order_out], b[order_out], dist[order_out]
-
-
-def neighbor_pairs(
-    frame: TickFrame, radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Contact pairs for one frame: (id_a, id_b, distance), id_a < id_b."""
-    return pairs_within(frame.ids, frame.positions, radius)
 
 
 @dataclass(frozen=True)
@@ -198,28 +208,23 @@ class ContactLedger:
     """Columnar store of contact records, updated one frame at a time."""
 
     _GROW = 1024
+    _STORED = ("_id_a", "_id_b", "_start", "_duration", "_dist_sum")
 
     def __init__(self, config: ContactConfig):
         self.config = config
         self._cap = self._GROW
         self._id_a = np.empty(self._cap, dtype=np.int64)
         self._id_b = np.empty(self._cap, dtype=np.int64)
-        self._type_a = np.empty(self._cap, dtype=np.int32)
-        self._type_b = np.empty(self._cap, dtype=np.int32)
         self._start = np.empty(self._cap, dtype=np.int64)
-        self._last = np.empty(self._cap, dtype=np.int64)
         self._duration = np.empty(self._cap, dtype=np.int64)
         self._dist_sum = np.empty(self._cap, dtype=np.float64)
-        self._open = np.empty(self._cap, dtype=bool)
         self._n = 0
 
-        self._open_keys = np.empty(0, dtype=np.int64)
-        self._open_idx = np.empty(0, dtype=np.int64)
+        # the latest frame's pairs (sorted keys) and their open records
+        self._open_keys = self._open_idx = np.empty(0, dtype=np.int64)
 
         self.type_names: list[str] = []
         self._type_of: dict[int, int] = {}  # agent id -> type index
-        self._known_ids = np.empty(0, dtype=np.int64)  # sorted; mirrors _type_of
-        self._known_types = np.empty(0, dtype=np.int32)
         self._last_roster: tuple[np.ndarray, np.ndarray, list[str]] | None = None
         self.first_tick: int | None = None
         self.last_tick: int | None = None
@@ -234,14 +239,16 @@ class ContactLedger:
             return
         while self._cap < need:
             self._cap *= 2
-        for name in ("_id_a", "_id_b", "_type_a", "_type_b", "_start", "_last",
-                     "_duration", "_dist_sum", "_open"):
+        for name in self._STORED:
             old = getattr(self, name)
             grown = np.empty(self._cap, dtype=old.dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
-    def _register_agents(self, frame: TickFrame) -> None:
+    def _check_roster(self, frame: TickFrame) -> tuple[list[str], dict[int, int]] | None:
+        """The type list and new agents after this frame; None if the roster repeats.
+
+        Raises FrameError for an id outside [0, 2^31) or a changed type."""
         # Hot path: most frames repeat the previous roster verbatim.
         prev = self._last_roster
         if (
@@ -250,108 +257,84 @@ class ContactLedger:
             and np.array_equal(prev[0], frame.ids)
             and np.array_equal(prev[1], frame.type_ids)
         ):
-            return
+            return None
         # Frame-local type indices are remapped onto the ledger's own list.
-        remap: dict[int, int] = {}
-        for local, name in enumerate(frame.type_names):
-            if name not in self.type_names:
-                self.type_names.append(name)
-            remap[local] = self.type_names.index(name)
+        names = list(self.type_names)
+        for name in frame.type_names:
+            if name not in names:
+                names.append(name)
+        remap = [names.index(name) for name in frame.type_names]
+        new: dict[int, int] = {}
         for agent_id, local in zip(frame.ids.tolist(), frame.type_ids.tolist()):
             if not (0 <= agent_id < _ID_LIMIT):
-                raise ValueError(f"agent id {agent_id} outside supported range [0, 2^31)")
+                raise FrameError(f"tick {frame.tick}: agent {agent_id} is outside "
+                                 "the supported id range [0, 2^31)")
             t = remap[local]
             known = self._type_of.get(agent_id)
             if known is None:
-                self._type_of[agent_id] = t
+                new[agent_id] = t
             elif known != t:
-                raise ValueError(
-                    f"agent {agent_id} changed type from "
-                    f"{self.type_names[known]!r} to {self.type_names[t]!r}"
-                )
-        self._known_ids = np.fromiter(self._type_of.keys(), dtype=np.int64,
-                                      count=len(self._type_of))
-        srt = np.argsort(self._known_ids)
-        self._known_ids = self._known_ids[srt]
-        self._known_types = np.fromiter(self._type_of.values(), dtype=np.int32,
-                                        count=len(self._type_of))[srt]
-        self._last_roster = (frame.ids, frame.type_ids, frame.type_names)
+                raise FrameError(f"tick {frame.tick}: agent {agent_id} changed type "
+                                 f"from {names[known]!r} to {names[t]!r}")
+        return names, new
 
     # -- the per-tick update -------------------------------------------------
 
     def observe(self, frame: TickFrame) -> None:
-        """Fold one frame into the ledger (dense ticks and finite positions required)."""
+        """Fold one frame into the ledger; every check runs before any state changes."""
         if self.finalized:
             raise ValueError("ledger is finalized")
         if not np.isfinite(frame.positions).all():
             bad = frame.ids[np.argmin(np.isfinite(frame.positions).all(axis=1))]
-            raise ValueError(f"tick {frame.tick}: agent {bad} has a non-finite position")
-        if self.last_tick is None:
+            raise FrameError(f"tick {frame.tick}: agent {bad} has a non-finite position")
+        if self.last_tick is not None and frame.tick != self.last_tick + 1:
+            raise NonMonotonicTickError(f"tick {frame.tick}: expected tick {self.last_tick + 1}")
+        roster = self._check_roster(frame)
+
+        if roster is not None:
+            self.type_names, new = roster
+            self._type_of.update(new)
+            self._last_roster = (frame.ids, frame.type_ids, frame.type_names)
+        if self.first_tick is None:
             self.first_tick = frame.tick
-        elif frame.tick != self.last_tick + 1:
-            raise NonMonotonicTickError(
-                f"expected tick {self.last_tick + 1}, got {frame.tick}"
-            )
         self.last_tick = frame.tick
-        self._register_agents(frame)
 
         a, b, dist = pairs_within(frame.ids, frame.positions, self.config.effective_radius)
-        keys = (a << 32) | b
+        keys = pair_key(a, b)
 
+        # continuing pairs extend their open record; pairs that left simply drop out
+        idx = np.empty(len(keys), dtype=np.int64)
+        cont = np.zeros(len(keys), dtype=bool)
         n_open = len(self._open_keys)
         if n_open:
-            pos = np.searchsorted(self._open_keys, keys)
-            pos_c = np.minimum(pos, n_open - 1)
-            cont = self._open_keys[pos_c] == keys
-            matched = np.zeros(n_open, dtype=bool)
-            matched[pos_c[cont]] = True
-            # pairs that left the radius: close, keep everything else as is
-            closing = self._open_idx[~matched]
-            self._open[closing] = False
-            rec = self._open_idx[pos_c[cont]]
+            pos = np.minimum(np.searchsorted(self._open_keys, keys), n_open - 1)
+            cont = self._open_keys[pos] == keys
+            idx[cont] = rec = self._open_idx[pos[cont]]
             self._duration[rec] += 1
             self._dist_sum[rec] += dist[cont]
-            self._last[rec] = frame.tick
-        else:
-            cont = np.zeros(len(keys), dtype=bool)
 
         fresh = ~cont
         k = int(fresh.sum())
-        if k:
-            self._ensure(k)
-            sl = slice(self._n, self._n + k)
-            na, nb = a[fresh], b[fresh]
-            self._id_a[sl] = na
-            self._id_b[sl] = nb
-            self._type_a[sl] = self._known_types[np.searchsorted(self._known_ids, na)]
-            self._type_b[sl] = self._known_types[np.searchsorted(self._known_ids, nb)]
-            self._start[sl] = frame.tick
-            self._last[sl] = frame.tick
-            self._duration[sl] = 1
-            self._dist_sum[sl] = dist[fresh]
-            self._open[sl] = True
-            new_idx = np.arange(self._n, self._n + k, dtype=np.int64)
-            self._n += k
-        else:
-            new_idx = np.empty(0, dtype=np.int64)
+        self._ensure(k)
+        sl = slice(self._n, self._n + k)
+        self._id_a[sl] = a[fresh]
+        self._id_b[sl] = b[fresh]
+        self._start[sl] = frame.tick
+        self._duration[sl] = 1
+        self._dist_sum[sl] = dist[fresh]
+        idx[fresh] = np.arange(self._n, self._n + k, dtype=np.int64)
+        self._n += k
 
         # After the update the open set is exactly this frame's pair set.
-        idx_all = np.empty(len(keys), dtype=np.int64)
-        if n_open:
-            idx_all[cont] = rec
-        idx_all[fresh] = new_idx
-        self._open_keys = keys
-        self._open_idx = idx_all
+        self._open_keys, self._open_idx = keys, idx
 
     def finalize(self, last_tick: int) -> None:
-        """Close every open record in place; safe to call more than once."""
+        """Close every open record; safe to call more than once."""
         if self.last_tick is not None and last_tick < self.last_tick:
             raise ValueError(
                 f"finalize tick {last_tick} precedes last observed tick {self.last_tick}"
             )
-        self._open[: self._n] = False
-        self._open_keys = np.empty(0, dtype=np.int64)
-        self._open_idx = np.empty(0, dtype=np.int64)
+        self._open_keys = self._open_idx = np.empty(0, dtype=np.int64)
         first = self.first_tick if self.first_tick is not None else 0
         self.horizon = last_tick - first + 1
         self.finalized = True
@@ -363,18 +346,26 @@ class ContactLedger:
         return self._n
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Trimmed read-only columns of every record logged so far."""
+        """Trimmed columns of every record logged so far: five stored, four derived."""
         n = self._n
+        id_a, id_b = self._id_a[:n], self._id_b[:n]
+        start, duration = self._start[:n], self._duration[:n]
+        is_open = np.zeros(n, dtype=bool)
+        is_open[self._open_idx] = True
+        roster = np.fromiter(self._type_of, dtype=np.int64, count=len(self._type_of))
+        types = np.fromiter(self._type_of.values(), dtype=np.int32, count=len(roster))
+        order = np.argsort(roster)
+        roster, types = roster[order], types[order]
         return {
-            "id_a": self._id_a[:n],
-            "id_b": self._id_b[:n],
-            "type_a": self._type_a[:n],
-            "type_b": self._type_b[:n],
-            "start": self._start[:n],
-            "last": self._last[:n],
-            "duration": self._duration[:n],
+            "id_a": id_a,
+            "id_b": id_b,
+            "type_a": types[np.searchsorted(roster, id_a)],
+            "type_b": types[np.searchsorted(roster, id_b)],
+            "start": start,
+            "last": start + duration - 1,
+            "duration": duration,
             "dist_sum": self._dist_sum[:n],
-            "open": self._open[:n],
+            "open": is_open,
         }
 
     def records(self) -> list[ContactRecord]:

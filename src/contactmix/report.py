@@ -32,10 +32,11 @@ def build_matrices(
 ) -> dict[str, ContactMatrix]:
     """Every level x metric matrix for the ledger, keyed ``level_metric``.
 
-    Labels are canonical: agent ids ascending, type names sorted.  A
-    simulated run and a replay of its exported frames therefore produce
-    byte-identical files even though they discover the types in a
-    different order.
+    Type names are sorted on every type axis and ``agent_*`` labels are
+    agent ids ascending, so a simulated run and a replay of its exported
+    frames produce byte-identical files even though they discover the types
+    in a different order.  ``agent_by_type_*`` rows follow the ledger's
+    roster, agents in order of first appearance, which a replay keeps.
     """
     pairs = pair_summaries(ledger)
     roster = ledger.agents()

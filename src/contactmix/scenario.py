@@ -76,15 +76,6 @@ class Distribution:
             return float(rng.exponential(self.params[0]))
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
-    def mean(self) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            return (self.params[0] + self.params[1]) / 2.0
-        if self.kind == "triangular":
-            return sum(self.params) / 3.0
-        return self.params[0]
-
     def to_json(self) -> dict[str, Any]:
         if self.kind == "constant":
             return {"kind": "constant", "value": self.params[0]}

@@ -335,6 +335,28 @@ def test_ingest_non_finite_position_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+REJECTED_TRACES = {
+    "type change": ("0,1,red,0.0,0.0\n0,2,red,1.0,0.0\n1,1,red,0.0,0.0\n1,2,blue,1.0,0.0\n",
+                    "error: tick 1: agent 2 changed type from 'red' to 'blue'"),
+    "negative id": ("0,1,red,0.0,0.0\n0,-5,red,1.0,0.0\n",
+                    "error: tick 0: agent -5 is outside the supported id range [0, 2^31)"),
+    "id beyond 2^32": ("0,1,red,0.0,0.0\n1,4294967296,red,1.0,0.0\n",
+                       "error: tick 1: agent 4294967296 is outside the supported id range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_TRACES))
+def test_ingest_rejected_frame_exits_1_with_one_line(case, tmp_path, capsys):
+    text, message = REJECTED_TRACES[case]
+    path = tmp_path / "bad.csv"
+    path.write_text("tick,agent_id,type_name,x_m,y_m\n" + text, encoding="utf-8")
+    code = run_cli("ingest-trace", "--trace", path, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_missing_trace_exits_3(tmp_path):
     code = run_cli("ingest-trace", "--trace", tmp_path / "nope.csv",
                    "--out", tmp_path / "o")

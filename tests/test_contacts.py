@@ -9,8 +9,8 @@ from contactmix import contacts
 from contactmix.contacts import (
     ContactConfig,
     ContactLedger,
+    FrameError,
     NonMonotonicTickError,
-    neighbor_pairs,
     pairs_within,
 )
 from contactmix.frames import TickFrame, TraceFormatError, read_frames, write_frames
@@ -80,12 +80,6 @@ def test_coincident_agents_found():
     a, b, d = pairs_within(np.array([4, 9]), np.zeros((2, 2)), 0.5)
     assert a.tolist() == [4] and b.tolist() == [9]
     assert d[0] == 0.0
-
-
-def test_neighbor_pairs_wrapper():
-    f = frame(0, [5, 1], [[0.0, 0.0], [1.0, 0.0]])
-    a, b, d = neighbor_pairs(f, 2.0)
-    assert (a.tolist(), b.tolist()) == ([1], [5])
 
 
 @given(
@@ -232,11 +226,46 @@ def test_non_monotonic_tick_rejected(golden):
         led.observe(golden[1])
 
 
+def ledger_state(led):
+    cols = {k: (v.dtype, v.tolist()) for k, v in led.columns().items()}
+    return (cols, list(led.type_names), led.agents(), led.first_tick, led.last_tick)
+
+
+# each frame for tick 1 adds a new agent 7 and a new type before its fault
+REJECTED_FRAMES = {
+    "type change": frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                         type_ids=[1, 0, 0], type_names=["other", "only"]),
+    "negative id": frame(1, [4, 7, 9, -5], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
+                         type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
+    "id 2^31": frame(1, [4, 7, 9, 2**31], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
+                     type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
+    "non-finite position": frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, np.nan]],
+                                 type_ids=[0, 1, 0], type_names=["only", "other"]),
+    "skipped tick": frame(2, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                          type_ids=[0, 1, 0], type_names=["only", "other"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_FRAMES))
+def test_rejected_frame_leaves_ledger_unchanged(case):
+    led = make_ledger()
+    led.observe(frame(0, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
+    before = ledger_state(led)
+    with pytest.raises(FrameError, match=r"^tick [12]: "):
+        led.observe(REJECTED_FRAMES[case])
+    assert ledger_state(led) == before
+    # so the corrected frame for tick 1 is accepted
+    led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
+    led.finalize(1)
+    assert [(r.id_a, r.id_b, r.duration) for r in led.records()] == [(4, 9, 2)]
+    assert (led.type_names, led.agents()) == (["only"], {4: 0, 9: 0})
+
+
 def test_type_change_rejected(golden):
     led = make_ledger()
     led.observe(golden[0])
     bad = frame(1, [0], [[0.0, 0.0]], type_ids=[1], type_names=["host", "green"])
-    with pytest.raises(ValueError, match="type"):
+    with pytest.raises(FrameError, match="tick 1: agent 0 changed type from 'host' to 'green'"):
         led.observe(bad)
 
 
@@ -286,6 +315,8 @@ def random_walk_frames(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     ids = np.sort(rng.choice(100, size=n, replace=False)).astype(np.int64)
+    type_names = ["walker", "runner", "sitter"][: draw(st.integers(2, 3))]
+    types = rng.integers(0, len(type_names), size=n).astype(np.int32)
     pos = rng.uniform(0, 8, size=(n, 2))
     frames = []
     for t in range(ticks):
@@ -297,9 +328,9 @@ def random_walk_frames(draw):
             TickFrame(
                 t,
                 ids[present],
-                np.zeros(int(present.sum()), dtype=np.int32),
+                types[present],
                 pos[present].copy(),
-                ["walker"],
+                type_names,
             )
         )
     return frames
@@ -312,7 +343,26 @@ def test_ledger_replay_property(frames):
     for f in frames:
         led.observe(f)
     last = frames[-1].tick
+
+    # the derived columns, read before finalize
+    c = led.columns()
+    assert {k: v.dtype for k, v in c.items()} == {
+        "id_a": np.int64, "id_b": np.int64, "type_a": np.int32, "type_b": np.int32,
+        "start": np.int64, "last": np.int64, "duration": np.int64,
+        "dist_sum": np.float64, "open": np.bool_,
+    }
+    latest = {(a, b) for a, b, _ in brute_force_pairs(frames[-1].ids, frames[-1].positions, 2.0)}
+    is_open = c["open"]
+    assert int(is_open.sum()) == len(latest)
+    assert set(zip(c["id_a"][is_open].tolist(), c["id_b"][is_open].tolist())) == latest
+    np.testing.assert_array_equal(c["last"], c["start"] + c["duration"] - 1)
+    assert (c["last"][is_open] == last).all()
+    roster = {int(i): f.type_names[t] for f in frames for i, t in zip(f.ids, f.type_ids)}
+    for ids, types in ((c["id_a"], c["type_a"]), (c["id_b"], c["type_b"])):
+        assert [led.type_names[t] for t in types] == [roster[i] for i in ids.tolist()]
+
     led.finalize(last)
+    assert not led.columns()["open"].any()
 
     want = replay_records(frames, 2.0)
     per_pair: dict = {}
