@@ -84,7 +84,7 @@ def pair_summaries(ledger: ContactLedger, min_duration: int | None = None) -> Pa
     tau = ledger.config.min_duration if min_duration is None else min_duration
     if tau < 1:
         raise ValueError("min_duration must be >= 1 tick")
-    c = ledger.columns()
+    c = ledger.stored_columns()
     keep = c["duration"] >= tau
     id_a, id_b = c["id_a"][keep], c["id_b"][keep]
     uniq, inv = np.unique(pair_key(id_a, id_b), return_inverse=True)

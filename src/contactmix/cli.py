@@ -14,11 +14,11 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
-from .contacts import ContactConfig, ContactLedger, FrameError
+from .contacts import ContactConfig, ContactLedger, FrameError, pairs_within_frames
 from .engine import SimConfig, SimulationFault, run
-from .frames import TraceFormatError, read_frames, write_frames
+from .frames import ROWS, TickFrame, TraceFormatError, read_frames, write_frames
 from .report import write_bundle
 from .scenario import ScenarioError, load_scenario, round_half_up
 
@@ -182,14 +182,35 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
     return out
 
 
+def _frame_groups(frames: Iterable[TickFrame]) -> Iterator[list[TickFrame]]:
+    """Consecutive frames in groups of about ROWS rows, an empty tick counting
+    as its one placeholder line, so that each group is searched for pairs at
+    once.  On a bad trace line the frames read before it come out first: a
+    frame the ledger rejects is then reported ahead of the later line."""
+    group: list[TickFrame] = []
+    rows = 0
+    try:
+        for frame in frames:
+            if group and rows + max(len(frame), 1) > ROWS:
+                yield group
+                group, rows = [], 0
+            group.append(frame)
+            rows += max(len(frame), 1)
+    except TraceFormatError:
+        yield group
+        raise
+    yield group
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     contact_cfg = _contact_config(args, args.tick_length_s)
     ledger = ContactLedger(contact_cfg)
-    last_tick = -1
     with open(args.trace, "r", encoding="utf-8") as fh:
-        for frame in read_frames(fh):
-            ledger.observe(frame)
-            last_tick = frame.tick
+        for group in _frame_groups(read_frames(fh)):
+            pairs = pairs_within_frames(group, contact_cfg.effective_radius)
+            for frame, frame_pairs in zip(group, pairs):
+                ledger.observe(frame, _pairs=frame_pairs)
+    last_tick = ledger.last_tick if ledger.last_tick is not None else -1
     ledger.finalize(last_tick)
 
     populations = ledger.observed_populations()

@@ -10,12 +10,12 @@ so one pair can contribute several contacts over a run.
 Frames must arrive in dense tick order.  Closed records are never revised.
 A frame the ledger cannot accept raises ``FrameError`` and changes nothing.
 
-The ledger stores five columns per record: ``id_a``, ``id_b``, ``start``,
-``duration`` and ``dist_sum``.  ``columns()`` derives the other four when
-read: ``last`` is ``start + duration - 1`` (a record grows by one tick per
-frame), ``open`` marks the records of the latest frame's pairs until
-``finalize``, and ``type_a``/``type_b`` come from the roster, since an agent
-never changes type.
+The ledger stores five columns per record, which ``stored_columns()``
+returns: ``id_a``, ``id_b``, ``start``, ``duration`` and ``dist_sum``.
+``columns()`` adds four derived when read: ``last`` is ``start + duration -
+1`` (a record grows by one tick per frame), ``open`` marks the records of the
+latest frame's pairs until ``finalize``, and ``type_a``/``type_b`` come from
+the roster, since an agent never changes type.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +105,16 @@ def _grid_candidates(positions: np.ndarray, radius: float) -> tuple[np.ndarray, 
     cx = cells[:, 0] - cells[:, 0].min()
     cy = cells[:, 1] - cells[:, 1].min() + 1
     stride = cy.max() + 2  # keeps dy = +/-1 from wrapping into the next column
-    key = cx * stride + cy
+    return _stencil_candidates(cx * stride + cy, stride)
+
+
+def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) of points in the same or adjacent cells, each
+    unordered cell pair visited once.
+
+    ``key`` is each point's cell ``cx * stride + cy``, with every cy in
+    [1, stride - 2] so that no neighbour offset wraps into another column.
+    """
     order = np.argsort(key, kind="stable")
     uniq, g_start, g_count = np.unique(key[order], return_index=True, return_counts=True)
 
@@ -187,6 +197,61 @@ def pairs_within(
     else:
         order_out = np.lexsort((b, a))
     return a[order_out], b[order_out], dist[order_out]
+
+
+# Packed int64 keys stay below this, so a stencil offset added to one
+# cannot overflow.
+_KEY_LIMIT = 2**62
+
+
+def pairs_within_frames(
+    frames: Sequence[TickFrame], radius: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``pairs_within(frame.ids, frame.positions, radius)`` for each frame,
+    with the same bytes, from one grid search over all of them.
+
+    The cell key packs (frame, cx, cy) into one int64, and each frame's range
+    of keys is wider than a stencil offset reaches, so every candidate pairs
+    two points of one frame.  The exact distance test runs on the original
+    coordinates, and the pairs are sorted by (frame, id_a, id_b).  A batch
+    whose keys would not fit in an int64 (coordinates far apart, or very
+    many frames) is searched frame by frame.
+    """
+    sizes = [len(f) for f in frames]
+    pos = np.concatenate([f.positions for f in frames] + [np.empty((0, 2))])
+    cells = np.floor(pos / radius)
+    fits = sum(sizes) >= 2 and np.abs(cells).max() < _KEY_LIMIT  # False on NaN
+    if fits:
+        cells = cells.astype(np.int64)
+        lo, hi = cells.min(axis=0), cells.max(axis=0)
+        stride = int(hi[1] - lo[1]) + 3  # cy runs from 1 to stride - 2
+        span = (int(hi[0] - lo[0]) + 2) * stride  # one frame's keys, room for the stencil
+        fits = len(frames) * span < _KEY_LIMIT
+    if not fits:
+        return [pairs_within(f.ids, f.positions, radius) for f in frames]
+    frame = np.repeat(np.arange(len(frames), dtype=np.int64), sizes)
+    cells -= lo
+    cand_i, cand_j = _stencil_candidates(frame * span + cells[:, 0] * stride + cells[:, 1] + 1,
+                                         stride)
+
+    px, py = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
+    _, _, d2, in_range = offsets_within(cand_i, cand_j, px, py, radius)
+    cand_i, cand_j = cand_i[in_range], cand_j[in_range]
+    dist = np.sqrt(d2[in_range])
+    ids = np.concatenate([f.ids for f in frames])
+    ids_i, ids_j = ids[cand_i], ids[cand_j]
+    a, b = np.minimum(ids_i, ids_j), np.maximum(ids_i, ids_j)
+    frame = frame[cand_i]
+    # (frame, a, b) in one int64 where it fits; the keys are unique
+    base = int(ids.min())
+    width = int(ids.max()) - base + 1
+    if len(frames) * width * width < _KEY_LIMIT:
+        order = np.argsort((frame * width + (a - base)) * width + (b - base))
+    else:
+        order = np.lexsort((b, a, frame))
+    a, b, dist = a[order], b[order], dist[order]
+    ends = np.cumsum(np.bincount(frame, minlength=len(frames))).tolist()
+    return [(a[s:e], b[s:e], dist[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 
 
 @dataclass(frozen=True)
@@ -280,8 +345,17 @@ class ContactLedger:
 
     # -- the per-tick update -------------------------------------------------
 
-    def observe(self, frame: TickFrame) -> None:
-        """Fold one frame into the ledger; every check runs before any state changes."""
+    def observe(
+        self,
+        frame: TickFrame,
+        _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        """Fold one frame into the ledger; every check runs before any state changes.
+
+        ``_pairs``, if given, is what ``pairs_within`` returns for this frame
+        at the ledger's radius (``pairs_within_frames`` gives it for a batch);
+        the ledger then uses it instead of searching.
+        """
         if self.finalized:
             raise ValueError("ledger is finalized")
         if not np.isfinite(frame.positions).all():
@@ -299,7 +373,9 @@ class ContactLedger:
             self.first_tick = frame.tick
         self.last_tick = frame.tick
 
-        a, b, dist = pairs_within(frame.ids, frame.positions, self.config.effective_radius)
+        if _pairs is None:
+            _pairs = pairs_within(frame.ids, frame.positions, self.config.effective_radius)
+        a, b, dist = _pairs
         keys = pair_key(a, b)
 
         # continuing pairs extend their open record; pairs that left simply drop out
@@ -345,26 +421,24 @@ class ContactLedger:
     def n_records(self) -> int:
         return self._n
 
+    def stored_columns(self) -> dict[str, np.ndarray]:
+        """The five stored columns, trimmed to the records logged so far."""
+        return {name[1:]: getattr(self, name)[: self._n] for name in self._STORED}
+
     def columns(self) -> dict[str, np.ndarray]:
         """Trimmed columns of every record logged so far: five stored, four derived."""
-        n = self._n
-        id_a, id_b = self._id_a[:n], self._id_b[:n]
-        start, duration = self._start[:n], self._duration[:n]
-        is_open = np.zeros(n, dtype=bool)
+        c = self.stored_columns()
+        is_open = np.zeros(self._n, dtype=bool)
         is_open[self._open_idx] = True
         roster = np.fromiter(self._type_of, dtype=np.int64, count=len(self._type_of))
         types = np.fromiter(self._type_of.values(), dtype=np.int32, count=len(roster))
         order = np.argsort(roster)
         roster, types = roster[order], types[order]
         return {
-            "id_a": id_a,
-            "id_b": id_b,
-            "type_a": types[np.searchsorted(roster, id_a)],
-            "type_b": types[np.searchsorted(roster, id_b)],
-            "start": start,
-            "last": start + duration - 1,
-            "duration": duration,
-            "dist_sum": self._dist_sum[:n],
+            **c,
+            "type_a": types[np.searchsorted(roster, c["id_a"])],
+            "type_b": types[np.searchsorted(roster, c["id_b"])],
+            "last": c["start"] + c["duration"] - 1,
             "open": is_open,
         }
 

@@ -243,10 +243,12 @@ def _build_obstacle_table(
 def _gather_walls(table: _ObstacleTable, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(point, wall) for every wall listed in each point's table cell, points
     ascending and each point's walls ascending."""
-    cell = np.floor(pts / table.cell_size).astype(np.int64) - (table.x0, table.y0)
-    # points beyond the padded grid take its border, where no wall is listed
+    cell = np.floor(pts / table.cell_size) - (table.x0, table.y0)
+    # points beyond the padded grid take its border, where no wall is listed;
+    # clipped before the cast, which a far point would overflow
     np.maximum(cell, 0, out=cell)
     np.minimum(cell, (table.cols - 1, table.rows - 1), out=cell)
+    cell = cell.astype(np.int64)
     key = cell[:, 0] * table.rows + cell[:, 1]
     first = table.starts[key]
     count = table.starts[key + 1] - first
@@ -258,9 +260,10 @@ def _gather_walls(table: _ObstacleTable, pts: np.ndarray) -> tuple[np.ndarray, n
 def _cell_code(env: EnvironmentMap, points: np.ndarray) -> np.ndarray:
     """Per point, the ``EnvironmentMap.cell_codes`` entry of its cell (-2 off the map)."""
     codes = env.cell_codes
-    cell = np.floor(points / env.cell_size).astype(np.int64) + 1
-    np.maximum(cell, 0, out=cell)
+    cell = np.floor(points / env.cell_size) + 1
+    np.maximum(cell, 0, out=cell)  # clipped before the cast, which a far point would overflow
     np.minimum(cell, (codes.shape[0] - 1, codes.shape[1] - 1), out=cell)
+    cell = cell.astype(np.int64)
     return codes[cell[:, 0], cell[:, 1]]
 
 

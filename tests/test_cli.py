@@ -342,6 +342,9 @@ REJECTED_TRACES = {
                     "error: tick 0: agent -5 is outside the supported id range [0, 2^31)"),
     "id beyond 2^32": ("0,1,red,0.0,0.0\n1,4294967296,red,1.0,0.0\n",
                        "error: tick 1: agent 4294967296 is outside the supported id range"),
+    # frames are searched in groups: a rejected frame still comes before a later bad line
+    "type change, then a bad line": ("0,1,red,0.0,0.0\n1,1,blue,0.0,0.0\n2,1,red,x,0.0\n",
+                                     "error: tick 1: agent 1 changed type from 'red' to 'blue'"),
 }
 
 

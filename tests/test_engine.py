@@ -14,6 +14,7 @@ from contactmix.engine import (
     Simulation,
     SimulationFault,
     _build_obstacle_table,
+    _cell_code,
     _gather_walls,
     _obstacle_acceleration,
     _prepare_tick,
@@ -235,6 +236,20 @@ def test_points_beyond_the_padded_grid_feel_no_wall():
     assert len(_gather_walls(table, far)[0]) == 0
     got = wall_forces(env, table, far, np.full(len(far), 0.25), params)
     assert np.array_equal(got, reference_obstacle_acceleration(env, far, np.full(5, 0.25), params))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("point", [(1e300, 2.5), (2.5, -1e300), (-1e300, 1e300)])
+def test_a_point_whose_cell_overflows_int64_feels_no_wall(point):
+    # the cell index is clipped before its cast to int64, so no invalid cast
+    params = ForceParameters()
+    env = scenario_from({"map": open_map(width=6, height=5, blocked=[[2, 2]])}).map
+    table = _build_obstacle_table(env, 0.25, params, travel=2.0, substeps=10)
+    far = np.array([point])
+    tick = _prepare_tick(far, np.ones(1), np.full(1, 0.25), params, np.ones(1, dtype=bool),
+                         None, env, table, 0.0, 1)
+    assert len(tick.wall_agent) == 0
+    assert _cell_code(env, far).tolist() == [-2]  # off the map
 
 
 def test_obstacle_table_rejects_radius_beyond_its_reach():
