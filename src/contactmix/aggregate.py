@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -126,20 +126,22 @@ class ContactMatrix:
             and bool(np.array_equal(self.values[self.defined], self.values.T[self.defined]))
         )
 
-    def to_csv(self) -> str:
-        """Labels in the first row and column; undefined cells left empty.
+    def cell_texts(self, fmt: Callable[[float], str], undefined: str) -> list[list[str]]:
+        """Each cell's text, row by row: ``fmt`` of its value, or ``undefined``.
 
-        Cells are ``%.6g``.  Each distinct value is formatted once: values
-        are told apart by their bits, so -0.0 and 0.0 keep their own text.
+        Each distinct value is formatted once: values are told apart by their
+        bits, so -0.0 and 0.0 keep their own text.
         """
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         bits, inv = np.unique(values.view(np.int64), return_inverse=True)
-        text = np.array([f"{v:.6g}" for v in bits.view(np.float64).tolist()] + [""],
-                        dtype=object)
-        cells = text[np.where(self.defined, inv.reshape(values.shape), len(bits))]
+        text = np.array([*map(fmt, bits.view(np.float64).tolist()), undefined], dtype=object)
+        return text[np.where(self.defined, inv.reshape(values.shape), len(bits))].tolist()
+
+    def to_csv(self) -> str:
+        """Labels in the first row and column; cells ``%.6g``, undefined ones empty."""
         lines = ["," + ",".join(self.col_labels)]
         lines += [label + "," + ",".join(row)
-                  for label, row in zip(self.row_labels, cells.tolist())]
+                  for label, row in zip(self.row_labels, self.cell_texts("{:.6g}".format, ""))]
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict[str, Any]:

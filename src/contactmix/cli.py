@@ -205,7 +205,8 @@ def _frame_groups(frames: Iterable[TickFrame]) -> Iterator[list[TickFrame]]:
 def cmd_ingest(args: argparse.Namespace) -> int:
     contact_cfg = _contact_config(args, args.tick_length_s)
     ledger = ContactLedger(contact_cfg)
-    with open(args.trace, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 reach read_frames, which names their line
+    with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for group in _frame_groups(read_frames(fh)):
             pairs = pairs_within_frames(group, contact_cfg.effective_radius)
             for frame, frame_pairs in zip(group, pairs):

@@ -99,9 +99,19 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+# Cell indices are clipped to +-this before the int64 cast, so that a far
+# point neither overflows the cast nor the packed key cx * stride + cy.
+# Clipping never moves two points further apart in cells, so every pair in
+# range still shares or neighbours a cell.
+_CELL_LIMIT = 2**30
+
+
+@np.errstate(over="ignore")  # a quotient beyond the float range is inf, then clipped
 def _grid_candidates(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) from same or adjacent grid cells of edge radius."""
-    cells = np.floor(positions / radius).astype(np.int64)
+    cells = np.floor(positions / radius)
+    np.clip(cells, -_CELL_LIMIT, _CELL_LIMIT, out=cells)
+    cells = cells.astype(np.int64)
     cx = cells[:, 0] - cells[:, 0].min()
     cy = cells[:, 1] - cells[:, 1].min() + 1
     stride = cy.max() + 2  # keeps dy = +/-1 from wrapping into the next column
@@ -140,6 +150,7 @@ def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.nd
     return order[np.concatenate(parts_i)], order[np.concatenate(parts_j)]
 
 
+@np.errstate(over="ignore")  # an offset or square beyond the float range is inf: out of range
 def offsets_within(
     cand_i: np.ndarray, cand_j: np.ndarray, px: np.ndarray, py: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -219,7 +230,8 @@ def pairs_within_frames(
     """
     sizes = [len(f) for f in frames]
     pos = np.concatenate([f.positions for f in frames] + [np.empty((0, 2))])
-    cells = np.floor(pos / radius)
+    with np.errstate(over="ignore"):  # an inf quotient does not fit: frame by frame
+        cells = np.floor(pos / radius)
     fits = sum(sizes) >= 2 and np.abs(cells).max() < _KEY_LIMIT  # False on NaN
     if fits:
         cells = cells.astype(np.int64)

@@ -4,8 +4,8 @@ One line per present agent: ``tick,agent_id,type_name,x_m,y_m``.  A header
 line is optional.  Ticks must be dense integers starting at 0; a tick with no
 agents on site is written as a placeholder line with empty agent columns
 (``7,,,,``) so density stays checkable.  Malformed or out-of-order lines,
-and positions that are not finite numbers, are rejected with their line
-number.
+ids that do not fit in an int64, positions that are not finite numbers and
+text that is not UTF-8 are rejected with their line number.
 
 ``read_frames`` reads ``ROWS`` lines at a time.  Each block is parsed by one
 ``np.loadtxt`` call and validated with array operations: integer ticks and
@@ -85,6 +85,7 @@ _PLACEHOLDER_TAIL = ",,,,"
 # np.loadtxt skips these around a number as spaces, where int() and float()
 # reject them; it also reads some non-ASCII letters as digits.
 _LOADTXT_SPACES = "\x1c\x1d\x1e\x1f"
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # ids are stored as int64
 
 
 def read_frames(lines: Iterable[str]) -> Iterator[TickFrame]:
@@ -93,6 +94,10 @@ def read_frames(lines: Iterable[str]) -> Iterator[TickFrame]:
     Type indices are assigned in order of first appearance, and every frame
     shares one growing type-name list.  Lines are parsed ``ROWS`` at a time;
     the last tick of a block stays open until a later line closes it.
+
+    A line holding a lone surrogate is rejected as not UTF-8: a file opened
+    with ``errors="surrogateescape"`` decodes each byte that is not UTF-8
+    to one, so the error names the line it is on.
     """
     reader = _Reader()
     it = iter(lines)
@@ -218,6 +223,11 @@ class _Reader:
 
         for line_no, raw in enumerate(block, start=first_line):
             line = raw.rstrip("\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate: see read_frames
+                    raise TraceFormatError(line_no, "not valid UTF-8 text") from None
             if line_no == 1 and line == TRACE_HEADER:
                 continue
             if not line.strip():
@@ -249,6 +259,8 @@ class _Reader:
                 agent_id = int(parts[1])
             except ValueError:
                 raise TraceFormatError(line_no, f"agent_id {parts[1]!r} is not an integer") from None
+            if not _INT64_MIN <= agent_id <= _INT64_MAX:
+                raise TraceFormatError(line_no, f"agent_id {parts[1]!r} does not fit in 64 bits")
             if agent_id in seen:
                 raise TraceFormatError(line_no, f"agent {agent_id} appears twice in tick {tick}")
             seen.add(agent_id)

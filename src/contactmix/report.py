@@ -5,11 +5,19 @@ chunk and probability matrices), an hourly in-contact series, a manifest
 echoing every effective parameter, and ``bundle.json`` with the whole lot in
 one machine-readable object.  All files are written deterministically: same
 inputs, same bytes.
+
+``bundle.json`` holds the bytes ``json.dumps(..., indent=2, sort_keys=True)``
+gives for the bundle's nested dicts and lists, but ``_json_text`` writes it:
+with any ``indent`` the stdlib encodes in pure Python, a few generator calls
+per matrix cell, where ``_json_text`` formats each matrix's distinct values
+once and joins its rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -69,6 +77,18 @@ def hourly_series_csv(series: dict[tuple[str, str], Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _matrix_obj(m: ContactMatrix) -> dict[str, Any]:
+    """``m.to_json_obj()``, with the matrix itself standing for its values
+    grid, which ``_json_text`` writes from the arrays."""
+    return {
+        "level": m.level,
+        "metric": m.metric,
+        "row_labels": m.row_labels,
+        "col_labels": m.col_labels,
+        "values": m,
+    }
+
+
 def _assemble(
     matrices: dict[str, ContactMatrix],
     chunks: ContactMatrix,
@@ -80,17 +100,68 @@ def _assemble(
     by_level: dict[str, dict[str, Any]] = {}
     for key, m in matrices.items():
         level, _, metric = key.rpartition("_")
-        by_level.setdefault(level, {})[metric] = m.to_json_obj()
+        by_level.setdefault(level, {})[metric] = _matrix_obj(m)
     return {
         "config": dict(manifest),
         "matrices": by_level,
-        "effective_chunks": chunks.to_json_obj(),
-        "transmission_probability": prob.to_json_obj(),
+        "effective_chunks": _matrix_obj(chunks),
+        "transmission_probability": _matrix_obj(prob),
         "hourly_series": {
             "bucket_length_ticks": bucket_length,
             "series": {_series_label(p): vec.tolist() for p, vec in series.items()},
         },
     }
+
+
+def _float_text(v: float) -> str:
+    """A float as ``json`` writes it, NaN and the infinities included."""
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _bracketed(items: list[str], indent: str, open_: str = "[", close: str = "]") -> str:
+    """Items one per line, one level deeper than ``indent``; empty as ``[]`` or ``{}``."""
+    if not items:
+        return open_ + close
+    inner = "\n" + indent + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + indent + close
+
+
+def _json_text(obj: Any, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with string keys, lists, tuples and the scalars ``json`` writes; a
+    ``ContactMatrix`` is written as its values grid, rows of cells with
+    ``null`` where undefined.
+
+    ``indent`` is the indentation of the line ``obj`` starts on.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        return _bracketed([_json_text(v, inner) for v in obj], indent)
+    if isinstance(obj, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return _bracketed(items, indent, "{", "}")
+    if isinstance(obj, ContactMatrix):
+        rows = obj.cell_texts(_float_text, "null")
+        return _bracketed([_bracketed(row, inner) for row in rows], indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_bundle(
@@ -118,6 +189,4 @@ def write_bundle(
         json.dumps(dict(manifest), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     bundle = _assemble(matrices, chunks, prob, series, manifest, bucket_length)
-    (out / "bundle.json").write_text(
-        json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "bundle.json").write_text(_json_text(bundle) + "\n", encoding="utf-8")

@@ -345,6 +345,11 @@ REJECTED_TRACES = {
     # frames are searched in groups: a rejected frame still comes before a later bad line
     "type change, then a bad line": ("0,1,red,0.0,0.0\n1,1,blue,0.0,0.0\n2,1,red,x,0.0\n",
                                      "error: tick 1: agent 1 changed type from 'red' to 'blue'"),
+    "id beyond int64": ("0,1,red,0.0,0.0\n0,99999999999999999999,red,1.0,0.0\n",
+                        "error: line 3: agent_id '99999999999999999999' does not fit in 64 bits"),
+    # written as the byte 0xff, which is not UTF-8
+    "not UTF-8": ("0,1,red,0.0,0.0\n1,1,red\udcff,0.0,0.0\n",
+                  "error: line 3: not valid UTF-8 text"),
 }
 
 
@@ -352,12 +357,23 @@ REJECTED_TRACES = {
 def test_ingest_rejected_frame_exits_1_with_one_line(case, tmp_path, capsys):
     text, message = REJECTED_TRACES[case]
     path = tmp_path / "bad.csv"
-    path.write_text("tick,agent_id,type_name,x_m,y_m\n" + text, encoding="utf-8")
+    path.write_bytes(("tick,agent_id,type_name,x_m,y_m\n" + text).encode("utf-8", "surrogateescape"))
     code = run_cli("ingest-trace", "--trace", path, "--out", tmp_path / "o")
     assert code == EXIT_INVALID
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(message)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ingest_far_apart_points_warn_nothing(tmp_path):
+    """Offsets near 2e300 m overflow when squared; such a pair is simply out of range."""
+    path = tmp_path / "far.csv"
+    path.write_text("0,1,red,1e300,1e300\n0,2,red,-1e300,1e300\n0,3,red,1e300,1e300\n"
+                    "1,1,red,1e300,-1e300\n1,2,red,-1e300,1e300\n", encoding="utf-8")
+    assert run_cli("ingest-trace", "--trace", path, "--out", tmp_path / "o") == EXIT_OK
+    assert read_cell(tmp_path / "o" / "agent_count.csv", "1", "3") == "1"
+    assert read_cell(tmp_path / "o" / "agent_count.csv", "1", "2") == "0"
 
 
 def test_ingest_missing_trace_exits_3(tmp_path):

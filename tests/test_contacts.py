@@ -116,6 +116,28 @@ def test_triangle_and_grid_paths_return_same_bytes(n, monkeypatch):
     assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radius", [2.0, 1e-300])
+def test_far_points_warn_nothing_and_keep_their_pairs(radius, monkeypatch):
+    """Points whose offsets overflow when squared and whose cells overflow
+    an int64 (at a tiny radius, whose cell quotient is inf), among ordinary
+    ones: both paths keep every pair in range, with the same bytes."""
+    rng = np.random.default_rng(4)
+    pos = rng.uniform(0.0, 20.0, size=(130, 2))
+    pos[:4] = [[1e300, 1e300], [1e300, 1e300], [-1e300, 5.0], [1e300, -1e300]]
+    pos[4:7] = [[1e15, 3.0], [1e15, 3.0], [-1e15, -1e15]]
+    pos[7] = pos[8]
+    ids = np.arange(130, dtype=np.int64)[::-1].copy()
+    results = []
+    for limit in (0, 10**9):  # grid only, then triangle only
+        monkeypatch.setattr(contacts, "BRUTE_FORCE_MAX_N", limit)
+        results.append(pairs_within(ids, pos, radius))
+    (ga, gb, gd), (ta, tb, td) = results
+    assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
+    pairs = set(zip(ga.tolist(), gb.tolist()))
+    assert {(128, 129), (124, 125), (121, 122)} <= pairs
+
+
 # --- ledger semantics ----------------------------------------------------------
 
 

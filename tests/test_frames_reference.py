@@ -117,7 +117,7 @@ def outcome(reader, lines):
     try:
         for f in reader(iter(lines)):
             got.append(f)
-    except (TraceFormatError, OverflowError) as e:  # an id beyond int64 overflows
+    except (TraceFormatError, OverflowError) as e:  # the reference overflows on an id beyond int64
         error = f"{type(e).__name__}: {e}"
     names = got[-1].type_names if got else []
     return [
@@ -252,6 +252,24 @@ def test_field_spellings_read_the_same(column):
         assert_same(lines)
 
 
+# Traces with an id beyond int64, and the line it is on.  The reference's
+# int64 cast raises OverflowError; read_frames names the line instead, after
+# the same frames.
+BEYOND_INT64 = {
+    "0,99999999999999999999,a,1.0,2.0\n": 1,
+    "0,1,a,1.0,2.0\n1,2,a,1.0,2.0\n1,-9223372036854775809,a,1.0,2.0\n": 3,
+}
+
+
+def assert_id_beyond_int64_named(lines, line_no):
+    got, names, error = outcome(read_frames, lines)
+    want, want_names, want_error = outcome(reference_read_frames, lines)
+    assert want_error.startswith("OverflowError")
+    assert (got, names) == (want, want_names)
+    bad = lines[line_no - 1].split(",")[1]
+    assert error == f"TraceFormatError: line {line_no}: agent_id {bad!r} does not fit in 64 bits"
+
+
 @pytest.mark.parametrize("text", [
     "0,0,a,1.0,2.0\r\n1,,,,\r\n2,0,a,1.0,2.0\r\n",  # a placeholder then ends in "\r"
     "0,0,a,1.0,2.0\r\n1,0,a,1.0,2.0\r\n",
@@ -265,6 +283,7 @@ def test_field_spellings_read_the_same(column):
     "0,1,a,1.0,2.0\n1,2,a,1.0,2.0 2,3,a,1.0,2.0\n",
     "0,1,a,1.0,2.0\n1,2,a,1.0,2.0\x850,3,a,1.0,2.0\n",
     "0,99999999999999999999,a,1.0,2.0\n",
+    "0,1,a,1.0,2.0\n1,2,a,1.0,2.0\n1,-9223372036854775809,a,1.0,2.0\n",
     "-1,1,a,1.0,2.0\n",
 ])
 def test_odd_traces_read_the_same(text):
@@ -272,7 +291,16 @@ def test_odd_traces_read_the_same(text):
     for rows_per_block in (1, 2, frames.ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(frames, "ROWS", rows_per_block)
-            assert_same(lines)
+            if text in BEYOND_INT64:
+                assert_id_beyond_int64_named(lines, BEYOND_INT64[text])
+            else:
+                assert_same(lines)
+
+
+def test_largest_int64_ids_read_the_same():
+    lines = ["0,9223372036854775807,a,1.0,2.0\n", "0,-9223372036854775808,a,1.0,2.0\n"]
+    got, _, error = assert_same(lines)
+    assert error is None and len(got) == 1
 
 
 # --- batched detection -----------------------------------------------------------
