@@ -172,6 +172,8 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
         name = name.strip()
         if not sep or not name:
             raise _UsageError(f"bad --populations entry {item!r}; expected name=count")
+        if ":" in name:
+            raise _UsageError(f"bad --populations entry {item!r}; a type name holds no ':'")
         try:
             count = int(value)
         except ValueError:

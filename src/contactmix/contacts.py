@@ -7,6 +7,13 @@ duration and running mean distance.  The tick the pair separates, the record
 is closed but kept; if the pair meets again later a fresh record is opened,
 so one pair can contribute several contacts over a run.
 
+Pairs come from one search.  ``pairs_within`` takes every pair of a frame
+of at most ``BRUTE_FORCE_MAX_N`` points as a candidate; for a larger frame,
+and for the batch of ``pairs_within_frames``, the candidates are the points
+in the same or adjacent cells of a uniform grid with cell edge equal to the
+radius.  Either way one distance test keeps the candidates in range and one
+sort orders them by (frame, id_a, id_b), so every path gives the same bytes.
+
 Frames must arrive in dense tick order.  Closed records are never revised.
 A frame the ledger cannot accept raises ``FrameError`` and changes nothing.
 
@@ -99,23 +106,14 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-# Cell indices are clipped to +-this before the int64 cast, so that a far
-# point neither overflows the cast nor the packed key cx * stride + cy.
-# Clipping never moves two points further apart in cells, so every pair in
-# range still shares or neighbours a cell.
-_CELL_LIMIT = 2**30
-
-
-@np.errstate(over="ignore")  # a quotient beyond the float range is inf, then clipped
-def _grid_candidates(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) from same or adjacent grid cells of edge radius."""
-    cells = np.floor(positions / radius)
-    np.clip(cells, -_CELL_LIMIT, _CELL_LIMIT, out=cells)
-    cells = cells.astype(np.int64)
-    cx = cells[:, 0] - cells[:, 0].min()
-    cy = cells[:, 1] - cells[:, 1].min() + 1
-    stride = cy.max() + 2  # keeps dy = +/-1 from wrapping into the next column
-    return _stencil_candidates(cx * stride + cy, stride)
+# Cell indices are clipped to +-this before the int64 cast, so that one
+# frame's cell keys stay below 2^61: a far point overflows neither the cast
+# nor the key.  Clipping never moves two points further apart in cells, so
+# every pair in range still shares or neighbours a cell.
+_CELL_LIMIT = 2**29
+# Packed int64 keys, of cells and of pairs, stay below this, so a stencil
+# offset added to a cell key cannot overflow.
+_KEY_LIMIT = 2**62
 
 
 def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,19 +149,75 @@ def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.nd
 
 
 @np.errstate(over="ignore")  # an offset or square beyond the float range is inf: out of range
-def offsets_within(
-    cand_i: np.ndarray, cand_j: np.ndarray, px: np.ndarray, py: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distance test of ``pairs_within`` on candidate pairs.
+def _in_range(
+    ids: np.ndarray, positions: np.ndarray, radius: float, cand_i: np.ndarray,
+    cand_j: np.ndarray, frame: np.ndarray | None = None, n_frames: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The candidate pairs (i, j) within radius as (id_a, id_b, distance,
+    frame), sorted by (frame, id_a, id_b), with id_a < id_b elementwise.
 
-    Returns (dx, dy, d2, within): the offsets p[i] - p[j], their squared
-    length, and the mask d2 <= radius**2.  Callers that filter candidates
-    with it keep exactly the pairs, and the distances, a search would.
+    ``frame`` gives each point's frame in a batch of ``n_frames``; for one
+    frame it is None, and so is the frame returned.  Ids are unique within
+    a frame, so no two pairs share a sort key.
     """
+    if len(cand_i) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0), None if frame is None else empty.copy()
+    # component-wise gathers beat 2-D row gathers on this hot path
+    px, py = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
     dx = px[cand_i] - px[cand_j]
     dy = py[cand_i] - py[cand_j]
     d2 = dx * dx + dy * dy
-    return dx, dy, d2, d2 <= radius * radius
+    keep = d2 <= radius * radius
+    cand_i, cand_j = cand_i[keep], cand_j[keep]
+    dist = np.sqrt(d2[keep])
+
+    ids_i, ids_j = ids[cand_i], ids[cand_j]
+    a, b = np.minimum(ids_i, ids_j), np.maximum(ids_i, ids_j)
+    if frame is not None:
+        frame = frame[cand_i]
+    # (frame, a - base, b - base) packed in one int64 where it fits
+    base = int(ids.min())
+    width = int(ids.max()) - base + 1
+    if n_frames * width * width < _KEY_LIMIT:
+        key = (a - base) * width + (b - base)
+        if frame is not None:
+            key += frame * (width * width)
+        order = np.argsort(key)
+    else:
+        order = np.lexsort((b, a) if frame is None else (b, a, frame))
+    return a[order], b[order], dist[order], None if frame is None else frame[order]
+
+
+def _grid_search(
+    ids: np.ndarray, positions: np.ndarray, radius: float,
+    frame: np.ndarray | None = None, n_frames: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None:
+    """``_in_range`` of the pairs in the same or adjacent cells of a uniform
+    grid with cell edge equal to the radius, so that any pair in range is a
+    candidate.  In a batch the cell key packs (frame, cx, cy), and each
+    frame's range of keys is wider than a stencil offset reaches, so every
+    candidate pairs two points of one frame.  Returns None when a batch's
+    keys would not fit in an int64.
+    """
+    if len(ids) < 2:
+        empty = np.empty(0, dtype=np.int64)
+        return _in_range(ids, positions, radius, empty, empty, frame, n_frames)
+    with np.errstate(over="ignore"):  # a quotient beyond the float range is inf, then clipped
+        cells = np.floor(positions / radius)
+    np.clip(cells, -_CELL_LIMIT, _CELL_LIMIT, out=cells)
+    cells = cells.astype(np.int64)
+    cx = cells[:, 0] - cells[:, 0].min()
+    cy = cells[:, 1] - cells[:, 1].min() + 1
+    stride = int(cy.max()) + 2  # keeps dy = +/-1 from wrapping into the next column
+    span = (int(cx.max()) + 2) * stride  # one frame's keys, room for the stencil
+    if n_frames * span >= _KEY_LIMIT:
+        return None
+    key = cx * stride + cy
+    if frame is not None:
+        key += frame * span
+    cand_i, cand_j = _stencil_candidates(key, stride)
+    return _in_range(ids, positions, radius, cand_i, cand_j, frame, n_frames)
 
 
 def pairs_within(
@@ -172,96 +226,33 @@ def pairs_within(
     """All unordered pairs with distance <= radius, sorted by (min id, max id).
 
     Up to BRUTE_FORCE_MAX_N points, every pair of the upper triangle is a
-    candidate.  Above that a uniform grid with cell edge equal to the radius
-    supplies them, so any qualifying pair sits in the same or an adjacent
-    cell (3x3 neighbourhood).  Occupied cells are matched group-to-group,
-    visiting each unordered cell pair once: a cell against itself plus its
-    four forward neighbours of the stencil.  Both paths share the distance
-    filter and the final sort, so they return the same bytes.
-    Returns (id_a, id_b, distance) with id_a < id_b elementwise.
+    candidate; above that, ``_grid_search`` of this one frame supplies them.
+    Both paths share the distance test and the sort, so they return the
+    same bytes.  Returns (id_a, id_b, distance) with id_a < id_b elementwise.
     """
-    n = len(ids)
-    empty = np.empty(0, dtype=np.int64)
-    if n < 2:
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
-
-    if n <= BRUTE_FORCE_MAX_N:
-        cand_i, cand_j = _upper_triangle(n)
-    else:
-        cand_i, cand_j = _grid_candidates(positions, radius)
-    if len(cand_i) == 0:
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
-
-    # component-wise gathers beat 2-D row gathers on this hot path
-    px, py = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
-    _, _, d2, in_range = offsets_within(cand_i, cand_j, px, py, radius)
-    cand_i, cand_j = cand_i[in_range], cand_j[in_range]
-    dist = np.sqrt(d2[in_range])
-
-    ids_i = ids[cand_i]
-    ids_j = ids[cand_j]
-    a = np.minimum(ids_i, ids_j)
-    b = np.maximum(ids_i, ids_j)
-    # a <= b elementwise, so these two bounds cover all four extremes
-    if len(a) and a.min() >= 0 and int(b.max()) < _ID_LIMIT:
-        order_out = np.argsort(pair_key(a, b), kind="stable")
-    else:
-        order_out = np.lexsort((b, a))
-    return a[order_out], b[order_out], dist[order_out]
-
-
-# Packed int64 keys stay below this, so a stencil offset added to one
-# cannot overflow.
-_KEY_LIMIT = 2**62
+    if len(ids) > BRUTE_FORCE_MAX_N:
+        return _grid_search(ids, positions, radius)[:3]
+    return _in_range(ids, positions, radius, *_upper_triangle(len(ids)))[:3]
 
 
 def pairs_within_frames(
     frames: Sequence[TickFrame], radius: float
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``pairs_within(frame.ids, frame.positions, radius)`` for each frame,
-    with the same bytes, from one grid search over all of them.
+    with the same bytes, from one ``_grid_search`` over all of them.
 
-    The cell key packs (frame, cx, cy) into one int64, and each frame's range
-    of keys is wider than a stencil offset reaches, so every candidate pairs
-    two points of one frame.  The exact distance test runs on the original
-    coordinates, and the pairs are sorted by (frame, id_a, id_b).  A batch
-    whose keys would not fit in an int64 (coordinates far apart, or very
-    many frames) is searched frame by frame.
+    A batch whose cell keys would not fit in an int64 (points far apart
+    in very many frames) is searched frame by frame.
     """
-    sizes = [len(f) for f in frames]
-    pos = np.concatenate([f.positions for f in frames] + [np.empty((0, 2))])
-    with np.errstate(over="ignore"):  # an inf quotient does not fit: frame by frame
-        cells = np.floor(pos / radius)
-    fits = sum(sizes) >= 2 and np.abs(cells).max() < _KEY_LIMIT  # False on NaN
-    if fits:
-        cells = cells.astype(np.int64)
-        lo, hi = cells.min(axis=0), cells.max(axis=0)
-        stride = int(hi[1] - lo[1]) + 3  # cy runs from 1 to stride - 2
-        span = (int(hi[0] - lo[0]) + 2) * stride  # one frame's keys, room for the stencil
-        fits = len(frames) * span < _KEY_LIMIT
-    if not fits:
+    frame = np.repeat(np.arange(len(frames), dtype=np.int64), [len(f) for f in frames])
+    found = _grid_search(
+        np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)]),
+        np.concatenate([f.positions for f in frames] + [np.empty((0, 2))]),
+        radius, frame, len(frames),
+    )
+    if found is None:
         return [pairs_within(f.ids, f.positions, radius) for f in frames]
-    frame = np.repeat(np.arange(len(frames), dtype=np.int64), sizes)
-    cells -= lo
-    cand_i, cand_j = _stencil_candidates(frame * span + cells[:, 0] * stride + cells[:, 1] + 1,
-                                         stride)
-
-    px, py = np.ascontiguousarray(pos[:, 0]), np.ascontiguousarray(pos[:, 1])
-    _, _, d2, in_range = offsets_within(cand_i, cand_j, px, py, radius)
-    cand_i, cand_j = cand_i[in_range], cand_j[in_range]
-    dist = np.sqrt(d2[in_range])
-    ids = np.concatenate([f.ids for f in frames])
-    ids_i, ids_j = ids[cand_i], ids[cand_j]
-    a, b = np.minimum(ids_i, ids_j), np.maximum(ids_i, ids_j)
-    frame = frame[cand_i]
-    # (frame, a, b) in one int64 where it fits; the keys are unique
-    base = int(ids.min())
-    width = int(ids.max()) - base + 1
-    if len(frames) * width * width < _KEY_LIMIT:
-        order = np.argsort((frame * width + (a - base)) * width + (b - base))
-    else:
-        order = np.lexsort((b, a, frame))
-    a, b, dist = a[order], b[order], dist[order]
+    a, b, dist, frame = found
     ends = np.cumsum(np.bincount(frame, minlength=len(frames))).tolist()
     return [(a[s:e], b[s:e], dist[s:e]) for s, e in zip([0] + ends[:-1], ends)]
 

@@ -314,7 +314,7 @@ def _near_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Of candidate pairs (2, p), those within ``cutoff``: (index into the
     candidates, offsets pos[a] - pos[b] as (k, 2), distances).  The test is
-    the arithmetic of ``offsets_within``, so from candidates sorted by (a, b)
+    the arithmetic of ``pairs_within``'s, so from candidates sorted by (a, b)
     it keeps the pairs and distances ``pairs_within`` would, in its order."""
     off = pos.take(pairs[0], 0) - pos.take(pairs[1], 0)  # take: row gathers, fast
     sq = off * off

@@ -4,14 +4,14 @@ One line per present agent: ``tick,agent_id,type_name,x_m,y_m``.  A header
 line is optional.  Ticks must be dense integers starting at 0; a tick with no
 agents on site is written as a placeholder line with empty agent columns
 (``7,,,,``) so density stays checkable.  Malformed or out-of-order lines,
-ids that do not fit in an int64, positions that are not finite numbers and
-text that is not UTF-8 are rejected with their line number.
+type names with a ":", ids that do not fit in an int64, positions that are
+not finite and text that is not UTF-8 are rejected with their line number.
 
 ``read_frames`` reads ``ROWS`` lines at a time.  Each block is parsed by one
 ``np.loadtxt`` call and validated with array operations: integer ticks and
 ids, dense ticks continuing from the block before, no id twice in a tick
 (the open tick's rows are carried into the next block for this), finite
-positions and non-empty type names.  A block that fails any of these is read
+positions and non-empty type names without ":".  A failing block is read
 again by the line-by-line parser, from the same state, so errors keep their
 line numbers and messages and the same frames come before them.
 """
@@ -178,9 +178,9 @@ class _Reader:
         try:
             new_types = np.fromiter(map(self.type_index.__getitem__, names),
                                     dtype=np.int32, count=len(names))
-        except KeyError:  # a name not seen before, or an empty one
+        except KeyError:  # a name not seen before, or one scan rejects
             first_seen = dict.fromkeys(names)
-            if "" in first_seen:
+            if any(not name or ":" in name for name in first_seen):
                 return None
             for name in first_seen:  # every check has passed: commit
                 if name not in self.type_index:
@@ -267,6 +267,8 @@ class _Reader:
             type_name = parts[2]
             if not type_name:
                 raise TraceFormatError(line_no, "type_name must not be empty")
+            if ":" in type_name:
+                raise TraceFormatError(line_no, f"type_name {type_name!r} must not contain ':'")
             try:
                 x, y = float(parts[3]), float(parts[4])
             except ValueError:

@@ -465,6 +465,8 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         _fail(f"{where}: name must be a non-empty string")
+    if "," in name or ":" in name:  # CSV cells and series labels hold names as they are
+        _fail(f"{where}: name {name!r} must not contain ',' or ':'")
     where = f"agent_types[{name!r}]"
     population = obj.get("population")
     if not isinstance(population, int) or isinstance(population, bool) or population < 0:

@@ -254,6 +254,19 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["a,b", "a:b"])
+def test_type_name_with_a_separator_exits_1(name, clinic, tmp_path, capsys):
+    """Names are written unquoted: a "," would split a CSV cell or trace line,
+    and a ":" would make two hourly series labels collide."""
+    doc = json.loads(clinic.read_text(encoding="utf-8"))
+    doc["agent_types"][1]["name"] = name
+    clinic.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", clinic, "--ticks", 5, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(f"error: agent_types[1]: name {name!r}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_file_exits_3(tmp_path):
     code = run_cli("run", "--scenario", tmp_path / "nope.json", "--ticks", 5,
                    "--out", tmp_path / "o")
@@ -301,7 +314,7 @@ def test_ingest_population_below_observed_exits_1(golden_trace, tmp_path, capsys
 
 
 def test_ingest_bad_populations_syntax_exits_1(golden_trace, tmp_path, capsys):
-    for spec in ("blue", "blue=abc", "=3", "blue=-1"):
+    for spec in ("blue", "blue=abc", "=3", "blue=-1", "blue:red=3"):
         code = run_cli("ingest-trace", "--trace", golden_trace,
                        "--populations", spec, "--out", tmp_path / "o")
         assert code == EXIT_INVALID, spec
@@ -347,6 +360,9 @@ REJECTED_TRACES = {
                                      "error: tick 1: agent 1 changed type from 'red' to 'blue'"),
     "id beyond int64": ("0,1,red,0.0,0.0\n0,99999999999999999999,red,1.0,0.0\n",
                         "error: line 3: agent_id '99999999999999999999' does not fit in 64 bits"),
+    # ":" joins two type names in an hourly series label
+    "colon in a type name": ("0,1,red,0.0,0.0\n0,2,a:b,1.0,0.0\n",
+                             "error: line 3: type_name 'a:b' must not contain ':'"),
     # written as the byte 0xff, which is not UTF-8
     "not UTF-8": ("0,1,red,0.0,0.0\n1,1,red\udcff,0.0,0.0\n",
                   "error: line 3: not valid UTF-8 text"),

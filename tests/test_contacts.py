@@ -116,6 +116,32 @@ def test_triangle_and_grid_paths_return_same_bytes(n, monkeypatch):
     assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
 
 
+# Pairs are sorted by one packed int64 key while the id span w (max - min + 1)
+# has w^2 < 2^62, that is w < 2^31, and by np.lexsort beyond.
+@pytest.mark.parametrize("n", [40, 300])  # both sides of BRUTE_FORCE_MAX_N
+@pytest.mark.parametrize("base, width", [
+    (0, 2**31 - 1), (0, 2**31), (-2**40, 2**31 - 1), (-2**40, 2**31), (-7, 5000),
+    (-2**63, 2**64),
+])
+def test_sort_on_both_sides_of_the_packing_limit(n, base, width, monkeypatch):
+    rng = np.random.default_rng(n)
+    ids = base + 1 + rng.choice(min(width - 2, 10**6), size=n, replace=False)
+    ids[:2] = base, base + width - 1
+    pos = rng.uniform(0.0, np.sqrt(n * 4.0), size=(n, 2))
+    pos[:2] = pos[2], pos[2] + 0.5  # the extreme ids meet each other and a third
+    order = rng.permutation(n)
+    ids, pos = ids[order], pos[order]
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+    a, b, d = pairs_within(ids, pos, 2.0)
+    assert bool(lexsorts) == (width >= 2**31)
+    want = brute_force_pairs(ids.tolist(), pos.tolist(), 2.0)
+    assert (base, base + width - 1) in [(x, y) for x, y, _ in want]
+    assert list(zip(a.tolist(), b.tolist())) == [(x, y) for x, y, _ in want]
+    np.testing.assert_allclose(d, [w[2] for w in want], rtol=0, atol=1e-9)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("radius", [2.0, 1e-300])
 def test_far_points_warn_nothing_and_keep_their_pairs(radius, monkeypatch):

@@ -3,7 +3,8 @@ per-frame code they replaced.
 
 ``read_frames`` parses ``ROWS`` lines at a time with ``np.loadtxt`` and
 falls back to a line loop for a block it cannot vouch for.  The reference
-below is the line loop as it was before blocks: on every generated trace,
+below is the line loop as it was before blocks, with the rule since added
+that a type name holds no ":": on every generated trace,
 valid or with one fault, both must yield the same frames, and the same
 frames before a ``TraceFormatError`` with the same message.
 
@@ -88,6 +89,8 @@ def reference_read_frames(lines):
         type_name = parts[2]
         if not type_name:
             raise TraceFormatError(line_no, "type_name must not be empty")
+        if ":" in type_name:
+            raise TraceFormatError(line_no, f"type_name {type_name!r} must not contain ':'")
         try:
             x, y = float(parts[3]), float(parts[4])
         except ValueError:
@@ -206,11 +209,13 @@ def inject(lines, k, fault):
             body[j] = f"{int(t) + 1},{rest}"
     elif fault == "empty type":
         body[k] = f"{tick},{aid},,{x},{y}\n"
+    elif fault == "colon in type":
+        body[k] = f"{tick},{aid},{name}:{name},{x},{y}\n"
     return lines[:1] + body
 
 
 FAULTS = ["6 fields", "float tick", "id with underscore", "NaN", "duplicate id",
-          "tick jump", "empty type"]
+          "tick jump", "empty type", "colon in type"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -366,14 +371,18 @@ def test_batch_with_ids_that_need_the_lexsort():
 def test_batch_far_apart_is_searched_frame_by_frame(monkeypatch):
     rng = np.random.default_rng(4)
     far = random_frame(rng, 150)
-    far.positions[:3] += 1e18  # cell keys beyond int64: the batch is split
+    # cells are clipped to +-2^29, so one frame's keys span about 2^58, and
+    # twenty frames would pass 2^62: the batch is split
+    far.positions[:3] += 1e18
     calls = []
     per_frame = contacts.pairs_within
     monkeypatch.setattr(contacts, "pairs_within",
                         lambda *a: calls.append(1) or per_frame(*a))
-    batch = [random_frame(rng, 140), far, random_frame(rng, 20)]
+    batch = [random_frame(rng, 140), far] + [random_frame(rng, 20) for _ in range(18)]
     pairs_within_frames(batch, 2.0)
-    assert len(calls) == 3
+    assert len(calls) == 20
+    pairs_within_frames(batch[:3], 2.0)  # three such frames fit in one search
+    assert len(calls) == 20
     monkeypatch.undo()
     assert_batch_matches(batch, 2.0)
 

@@ -76,6 +76,14 @@ def test_duplicate_type_names_rejected():
         parse_scenario(json.dumps(d))
 
 
+@pytest.mark.parametrize("name", ["a,b", "a:b", ":", "nurse,"])
+def test_type_name_with_a_separator_rejected(name):
+    d = doc()
+    d["agent_types"][0]["name"] = name
+    with pytest.raises(ScenarioError, match=r"agent_types\[0\]: name .* must not contain"):
+        parse_scenario(json.dumps(d))
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ScenarioError, match=r"line \d+ column \d+"):
         parse_scenario('{\n  "map": [,]\n}')
