@@ -13,12 +13,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any
 
 from .contacts import ContactConfig, ContactLedger, FrameError, pairs_within_frames
 from .engine import SimConfig, SimulationFault, run
-from .frames import ROWS, TickFrame, TraceFormatError, read_frames, write_frames
+from .frames import (
+    ROWS, TickFrame, TraceFormatError, check_type_name, read_frames, write_frames,
+)
 from .report import write_bundle
 from .scenario import ScenarioError, load_scenario, round_half_up
 
@@ -124,21 +127,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    frames_fh = None
-    try:
-        if args.export_frames:
-            frames_fh = (out / "frames.csv").open("w", encoding="utf-8")
-            frames_fh.write("tick,agent_id,type_name,x_m,y_m\n")
-
-        def observer(frame):
-            ledger.observe(frame)
-            if frames_fh is not None:
-                write_frames(frames_fh, [frame], header=False)
-
-        summary = run(scenario, config, observer)
-    finally:
+    trace = (out / "frames.csv").open("w", encoding="utf-8") if args.export_frames else nullcontext()
+    with trace as frames_fh:
         if frames_fh is not None:
-            frames_fh.close()
+            frames_fh.write("tick,agent_id,type_name,x_m,y_m\n")
+        detection = _GroupedDetection(ledger, frames_fh)
+        try:
+            summary = run(scenario, config, detection.add)
+        finally:
+            detection.flush()  # the frames made before a fault still reach frames.csv
 
     ledger.finalize(args.ticks - 1)
     populations = scenario.populations
@@ -172,8 +169,9 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
         name = name.strip()
         if not sep or not name:
             raise _UsageError(f"bad --populations entry {item!r}; expected name=count")
-        if ":" in name:
-            raise _UsageError(f"bad --populations entry {item!r}; a type name holds no ':'")
+        problem = check_type_name(name)
+        if problem:
+            raise _UsageError(f"bad --populations entry {item!r}; type name {name!r} {problem}")
         try:
             count = int(value)
         except ValueError:
@@ -184,35 +182,50 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
     return out
 
 
-def _frame_groups(frames: Iterable[TickFrame]) -> Iterator[list[TickFrame]]:
-    """Consecutive frames in groups of about ROWS rows, an empty tick counting
-    as its one placeholder line, so that each group is searched for pairs at
-    once.  On a bad trace line the frames read before it come out first: a
-    frame the ledger rejects is then reported ahead of the later line."""
-    group: list[TickFrame] = []
-    rows = 0
-    try:
-        for frame in frames:
-            if group and rows + max(len(frame), 1) > ROWS:
-                yield group
-                group, rows = [], 0
-            group.append(frame)
-            rows += max(len(frame), 1)
-    except TraceFormatError:
-        yield group
-        raise
-    yield group
+class _GroupedDetection:
+    """Feeds frames to a ledger in groups of about ``ROWS`` rows, an empty
+    tick counting as its one placeholder line.  Each group is searched for
+    pairs at once, observed frame by frame and then, given a trace file,
+    written to it.  Call ``flush`` after the last frame, and before an
+    exception propagates, so that every frame added comes out in order."""
+
+    def __init__(self, ledger: ContactLedger, trace: IO[str] | None = None):
+        self.ledger = ledger
+        self.trace = trace
+        self.group: list[TickFrame] = []
+        self.rows = 0
+
+    def add(self, frame: TickFrame) -> None:
+        rows = max(len(frame), 1)
+        if self.group and self.rows + rows > ROWS:
+            self.flush()
+        self.group.append(frame)
+        self.rows += rows
+
+    def flush(self) -> None:
+        group, self.group, self.rows = self.group, [], 0
+        if not group:
+            return
+        pairs = pairs_within_frames(group, self.ledger.config.effective_radius)
+        for frame, frame_pairs in zip(group, pairs):
+            self.ledger.observe(frame, _pairs=frame_pairs)
+        if self.trace is not None:
+            write_frames(self.trace, group, header=False)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     contact_cfg = _contact_config(args, args.tick_length_s)
     ledger = ContactLedger(contact_cfg)
+    detection = _GroupedDetection(ledger)
     # bytes that are not UTF-8 reach read_frames, which names their line
     with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for group in _frame_groups(read_frames(fh)):
-            pairs = pairs_within_frames(group, contact_cfg.effective_radius)
-            for frame, frame_pairs in zip(group, pairs):
-                ledger.observe(frame, _pairs=frame_pairs)
+        try:
+            for frame in read_frames(fh):
+                detection.add(frame)
+        finally:
+            # on a bad line the frames before it are observed first: a frame
+            # the ledger rejects is then reported ahead of the later line
+            detection.flush()
     last_tick = ledger.last_tick if ledger.last_tick is not None else -1
     ledger.finalize(last_tick)
 

@@ -26,11 +26,26 @@ lists by the exact cutoff tests, so it sees the pairs, walls, distances and
 order a fresh search would.  Forces are summed with ``np.bincount``, which
 adds in input order: per axis, each agent's relaxation term, then +f on
 every pair's first agent, then -f on every second agent, in pair order;
-wall forces are summed from zero in (agent, wall) order, then added.
+wall forces are summed from zero in (agent, wall) order, then added.  A
+substep with no pair within the cutoff takes ``relax + 0.0`` instead: the
+bincount starts every bin at +0.0, so that is its sum, a -0.0 term included.
 Containment reads one grid of cell codes: a cell's location index, -1 off
 every location, -2 where blocked and on a ring around the map.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
+
+One kernel, ``_run_substeps``, runs all the substeps of a tick.  It keeps
+the moving rows' positions, velocities and targets as arrays for the tick,
+advances waypoints on them, writes the moving rows' positions back once per
+substep for the pair offsets, and the rest once at the end.  Each moving
+row's cell code carries over from one substep's containment to the next: a
+step ends at its candidate point, a slide of it or its start, and the code
+of each was computed on the way.  Containment is left out for the whole tick
+when no moving agent is gated and no cell with code < -1 lies within an
+agent's widened tick travel of where it starts (one lookup per agent in an
+integral image of those cells, built once per map).  Every step of such a
+tick then ends in an allowed cell, so containment would return it as it is.
+``social_force_step`` is the same kernel run for one substep.
 
 Capacity is slot accounting, recorded once: each location maps the agents
 holding a slot there to their berths.  A grant takes the smallest berth not
@@ -81,6 +96,8 @@ _EPS = 1e-12
 _NO_GATE = -3  # a gate that no cell code matches
 _SLIDES = np.array([[[False, True]], [[True, False]]])  # slide along x, along y
 _XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
+_BOX = np.array([[-1.0], [1.0]])  # a box's low corner, then its high one
+_BOX_INDEX = np.array([[1], [2]])  # integral image index: of the low cell, one past the high
 
 
 @dataclass(frozen=True)
@@ -205,6 +222,8 @@ class _ObstacleTable:
     starts: np.ndarray
     idx: np.ndarray
     box: np.ndarray  # (walls, 3, 2): centre, lower-left and upper-right corner
+    # integral image of ``cell_codes < -1``: [x, y] counts the cells below index x and y
+    blocked: np.ndarray
 
 
 def _build_obstacle_table(
@@ -233,10 +252,13 @@ def _build_obstacle_table(
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
     centers = (cells + 0.5) * cs
+    blocked = np.zeros((env.width + 3, env.height + 3), dtype=np.int64)
+    np.cumsum(np.cumsum(env.cell_codes < -1, axis=0), axis=1, out=blocked[1:, 1:])
     return _ObstacleTable(
         cell_size=cs, reach=reach, travel=travel, x0=x0, y0=y0, cols=cols, rows=rows,
         starts=starts, idx=wall[order],
         box=np.stack([centers, centers - cs / 2.0, centers + cs / 2.0], axis=1),
+        blocked=blocked,
     )
 
 
@@ -268,29 +290,46 @@ def _cell_code(env: EnvironmentMap, points: np.ndarray) -> np.ndarray:
 
 
 def _contain(
-    env: EnvironmentMap, pos: np.ndarray, cand: np.ndarray, vel: np.ndarray, gate: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncate steps that would enter a blocked or gated cell: slide along
-    x, else along y, else stop.
+    env: EnvironmentMap, pm: np.ndarray, code: np.ndarray, cand: np.ndarray, vel: np.ndarray,
+    gate: np.ndarray,
+) -> np.ndarray:
+    """Truncate, in place, steps from ``pm`` to ``cand`` that would enter a
+    blocked or gated cell: slide along x, else along y, else stop.  Returns
+    the cell code of every point the steps end at.
 
-    ``gate`` holds, per agent, the location index whose cells it may not
-    enter, or ``_NO_GATE``.
+    ``code`` holds the cell code of each ``pm``.  ``gate`` holds, per agent,
+    the location index whose cells it may not enter, or ``_NO_GATE``.
     """
-    m = len(pos)
-    code = _cell_code(env, np.concatenate([pos, cand]))
+    end = _cell_code(env, cand)
     # an agent already standing inside its gated location may keep moving
-    gate = np.where(code[:m] == gate, _NO_GATE, gate)
-    bad = ((code[m:] == gate) | (code[m:] < -1)).nonzero()[0]
+    gate = np.where(code == gate, _NO_GATE, gate)
+    bad = ((end == gate) | (end < -1)).nonzero()[0]
     if len(bad) == 0:
-        return cand, vel
-    p, c = pos[bad], cand[bad]
-    code = _cell_code(env, np.where(_SLIDES, p, c).reshape(-1, 2)).reshape(2, -1)
-    ok_x, ok_y = (code != gate[bad]) & (code > -2)
+        return end
+    p, c = pm[bad], cand[bad]
+    slid = _cell_code(env, np.where(_SLIDES, p, c).reshape(-1, 2)).reshape(2, -1)
+    ok_x, ok_y = (slid != gate[bad]) & (slid > -2)
     back = np.column_stack([~ok_x, ok_x | ~ok_y])  # components that stay put
-    cand, vel = cand.copy(), vel.copy()
     cand[bad] = np.where(back, p, c)
     vel[bad] = np.where(back, 0.0, vel[bad])
-    return cand, vel
+    # each final point is the slide along x, the slide along y or the start
+    end[bad] = np.where(ok_x, slid[0], np.where(ok_y, slid[1], code[bad]))
+    return end
+
+
+def _blocked_near(table: _ObstacleTable, pts: np.ndarray, reach: np.ndarray) -> bool:
+    """Whether a cell with code < -1 (blocked, or off the map) lies within
+    ``reach[i]`` of ``pts[i]`` along both axes, for any i: one lookup of each
+    point's box of cells in the integral image.  A box reaching off the grid
+    keeps its border cells, where ``_cell_code`` puts every farther point."""
+    s = table.blocked
+    cell = np.floor((pts[:, None] + reach[:, None, None] * _BOX) / table.cell_size)
+    np.maximum(cell, -1, out=cell)  # clipped before the cast, which a far point would overflow
+    np.minimum(cell, (s.shape[0] - 3, s.shape[1] - 3), out=cell)
+    i = cell.astype(np.int64) + _BOX_INDEX
+    c = s[i[:, :, None, 0], i[:, None, :, 1]]  # [point, x corner, y corner]
+    c = c[:, 1] - c[:, 0]
+    return bool((c[:, 1] - c[:, 0]).any())
 
 
 def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
@@ -335,7 +374,7 @@ class _Tick:
     bins: np.ndarray  # (m, 2): bincount bins 2 * row + axis of the moving rows
     pair_bins: np.ndarray  # (2, p, 2): the bins of each pair's a, then of its b
     cutoff: float
-    env: EnvironmentMap | None
+    env: EnvironmentMap | None  # the map steps are contained in; None if no step can be cut
     gate: np.ndarray  # per moving row, the location index it may not enter, or _NO_GATE
     r2: float  # squared wall cutoff
     wall_agent: np.ndarray  # per listed wall, its moving row (rows, walls ascending)
@@ -354,6 +393,8 @@ def _prepare_tick(
     Frozen agents stay force sources, but a pair of two frozen agents changes
     nothing.  Each moving agent's walls come from the table cell it starts
     in; the table's travel must cover ``tick_length`` at the speed cap.
+    Containment is left out for the tick when no moving agent is gated and
+    none can reach a blocked or off-map cell at its speed cap.
     """
     mv = np.nonzero(moving)[0]
     cutoff = _agent_cutoff(radii, params)
@@ -361,6 +402,7 @@ def _prepare_tick(
     pairs = np.array(pairs_within(np.arange(len(pos), dtype=np.int64), pos, skin)[:2])
     pairs = pairs[:, moving[pairs[0]] | moving[pairs[1]]]
     fb = np.full(len(mv), -1) if forbidden is None else forbidden[mv]
+    vmax = params.max_speed_factor * speeds[mv]
     r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))
     if env is not None:
         radius = _obstacle_radius(float(radii.max()), params, table.cell_size)
@@ -369,10 +411,17 @@ def _prepare_tick(
             raise ValueError(f"obstacle table covers {table.reach} m and {table.travel} m "
                              f"of travel, step needs {radius} m and {travel} m")
         r2 = radius * radius
-        agent, wall = _gather_walls(table, pos[mv])
+        pm = pos[mv]
+        agent, wall = _gather_walls(table, pm)
         walls = table.box.take(wall, 0).transpose(1, 0, 2)
+        if not (fb >= 0).any():
+            # a substep moves an agent by at most dt times its capped speed,
+            # and only a gate or a cell with code < -1 truncates a step
+            extent = max(env.width, env.height) * table.cell_size
+            if not _blocked_near(table, pm, _widened(0.0, vmax * tick_length, extent, substeps)):
+                env = None
     return _Tick(
-        mv=mv, speeds=speeds[mv], vmax=params.max_speed_factor * speeds[mv], pairs=pairs,
+        mv=mv, speeds=speeds[mv], vmax=vmax, pairs=pairs,
         pair_r=radii[pairs[0]] + radii[pairs[1]], bins=2 * mv[:, None] + _XY,
         pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, env=env,
         gate=np.where(fb >= 0, fb, _NO_GATE), r2=r2, wall_agent=agent,
@@ -380,22 +429,92 @@ def _prepare_tick(
     )
 
 
-def _obstacle_acceleration(tick: _Tick, pm: np.ndarray, params: ForceParameters) -> np.ndarray:
-    """Wall forces on the moving rows standing at ``pm``: of each one's listed
-    walls, the exact cutoff test keeps the ones a lookup in its current cell
-    would, in the same (agent, wall) order."""
-    centre, lo, hi = tick.walls
+def _obstacle_acceleration(
+    tick: _Tick, pm: np.ndarray, params: ForceParameters
+) -> np.ndarray | None:
+    """Wall forces on the moving rows standing at ``pm``, or None if no wall
+    is within the cutoff: of each one's listed walls, the exact cutoff test
+    keeps the ones a lookup in its current cell would, in the same (agent,
+    wall) order."""
     p = pm.take(tick.wall_agent, 0)
-    sq = (p - centre) ** 2
+    sq = (p - tick.walls[0]) ** 2
+    k = (sq[:, 0] + sq[:, 1] <= tick.r2).nonzero()[0]
+    if len(k) == 0:
+        return None
+    p = p.take(k, 0)
+    _, lo, hi = tick.walls.take(k, 1)
     off = p - np.minimum(hi, np.maximum(lo, p))  # from the closest point of the wall
     d = np.hypot(off[:, 0], off[:, 1])
-    # agents never sit inside a blocked cell
-    k = ((sq[:, 0] + sq[:, 1] <= tick.r2) & (d > _EPS)).nonzero()[0]
-    d = d[k]
+    far = d > _EPS  # agents never sit inside a blocked cell
+    if not far.all():
+        k, off, d = k[far], off[far], d[far]
     scale = params.obstacle_strength * np.exp((tick.wall_r[k] - d) / params.obstacle_range) / d
-    f = scale[:, None] * off.take(k, 0)
+    f = scale[:, None] * off
     return np.bincount(tick.wall_bins.take(k, 0).ravel(), f.ravel(),
                        minlength=2 * len(pm)).reshape(-1, 2)
+
+
+def _run_substeps(
+    t: _Tick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float, substeps: int,
+    params: ForceParameters, advance: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> None:
+    """Run ``substeps`` Euler substeps of tick ``t`` on the moving rows of
+    ``pos``, ``vel`` and ``tgt``, in place.
+
+    The moving rows' positions, velocities and targets stay arrays ``pm``,
+    ``vm`` and ``tm`` for the whole tick, and ``advance(pm, tm)``, if given,
+    moves targets on at the start of each substep.  ``pos`` is updated every
+    substep, since the pair offsets read it; ``vel`` and ``tgt`` at the end.
+    Each moving row's cell code carries over from one ``_contain`` to the
+    next, since it is the code of the point the step ended at.
+    """
+    mv, bins, flat = t.mv, t.bins, t.bins.ravel()
+    pm, vm, tm = pos.take(mv, 0), vel.take(mv, 0), tgt.take(mv, 0)
+    code = None if t.env is None else _cell_code(t.env, pm)
+    for _ in range(substeps):
+        if advance is not None:
+            advance(pm, tm)
+        delta = tm - pm
+        dist = np.hypot(delta[:, 0], delta[:, 1])
+        ehat = np.divide(delta, dist[:, None], out=np.zeros(delta.shape),
+                         where=dist[:, None] > _EPS)
+        relax = (t.speeds[:, None] * ehat - vm) / params.relaxation_time
+        k, off, d = _near_pairs(t.pairs, pos, t.cutoff)
+        if len(k):
+            nz = d > _EPS
+            same = (~nz).nonzero()[0]  # coincident agents
+            if len(same) == 0:
+                u = off / d[:, None]
+            else:
+                u = np.divide(off, d[:, None], out=np.zeros(off.shape), where=nz[:, None])
+                for j in same:
+                    u[j] = _pair_direction(*t.pairs[:, k[j]].tolist())
+            mag = params.repulsion_strength * np.exp((t.pair_r[k] - d) / params.repulsion_range)
+            f = mag[:, None] * u
+            # one pass in input order, per axis: relaxation, then +f on each a,
+            # then -f on each b; rows of frozen agents collect their terms too,
+            # and are dropped
+            acc = np.bincount(np.concatenate([flat, t.pair_bins.take(k, 1).ravel()]),
+                              np.concatenate([relax, f, -f]).ravel(),
+                              minlength=2 * len(pos)).take(bins)
+        else:
+            acc = relax + 0.0  # as bincount sums it: every bin starts at +0.0
+        # without a wall in range the wall term is +0.0, and acc is never -0.0
+        wall = _obstacle_acceleration(t, pm, params) if len(t.wall_agent) else None
+        if wall is not None:
+            acc += wall
+        v = vm + dt * acc
+        speed = np.hypot(v[:, 0], v[:, 1])
+        over = (speed > t.vmax).nonzero()[0]
+        if len(over):
+            v[over] *= (t.vmax[over] / speed[over])[:, None]
+        cand = pm + dt * v
+        if code is not None:
+            code = _contain(t.env, pm, code, cand, v, t.gate)
+        pos.put(bins, cand)
+        pm, vm = cand, v
+    vel.put(bins, vm)
+    tgt.put(bins, tm)
 
 
 def social_force_step(
@@ -412,7 +531,7 @@ def social_force_step(
     agent (-1 for none) whose cells that agent may not enter.  ``_tick`` is
     the state ``_prepare_tick`` made for these agents at the start of the
     tick, and then stands in for ``env``, ``moving`` and ``forbidden``;
-    without it the step prepares its own, as a tick of one substep.
+    without it the step prepares its own, as a tick of one substep of ``dt``.
     """
     n = len(positions)
     pos = np.array(positions, dtype=np.float64)
@@ -420,42 +539,13 @@ def social_force_step(
     if n == 0:
         return pos, vel
     if _tick is None:
-        table = None if env is None else _build_obstacle_table(env, float(radii.max()), params)
+        table = None if env is None else _build_obstacle_table(
+            env, float(radii.max()), params, _tick_travel(desired_speeds, params, dt), 1)
         _tick = _prepare_tick(
             pos, desired_speeds, radii, params,
-            np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, 0.0, 1,
+            np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, dt, 1,
         )
-    t = _tick
-    mv = t.mv
-    pm, vm = pos.take(mv, 0), vel.take(mv, 0)
-    delta = targets.take(mv, 0) - pm
-    dist = np.hypot(delta[:, 0], delta[:, 1])
-    ehat = np.divide(delta, dist[:, None], out=np.zeros(delta.shape), where=dist[:, None] > _EPS)
-    relax = (t.speeds[:, None] * ehat - vm) / params.relaxation_time
-    k, off, d = _near_pairs(t.pairs, pos, t.cutoff)
-    nz = (d > _EPS)[:, None]
-    u = np.divide(off, d[:, None], out=np.zeros(off.shape), where=nz)
-    for j in (~nz[:, 0]).nonzero()[0]:  # coincident agents
-        u[j] = _pair_direction(*t.pairs[:, k[j]].tolist())
-    mag = params.repulsion_strength * np.exp((t.pair_r[k] - d) / params.repulsion_range)
-    f = mag[:, None] * u
-    # one pass in input order, per axis: relaxation, then +f on each a, then
-    # -f on each b; rows of frozen agents collect their terms too, and are dropped
-    bins = np.concatenate([t.bins.ravel(), t.pair_bins.take(k, 1).ravel()])
-    weights = np.concatenate([relax, f, -f]).ravel()
-    acc = np.bincount(bins, weights, minlength=2 * n).take(t.bins)
-    if len(t.wall_agent):  # else the wall term is +0.0, and bincount never sums to -0.0
-        acc += _obstacle_acceleration(t, pm, params)
-    v = vm + dt * acc
-    speed = np.hypot(v[:, 0], v[:, 1])
-    over = speed > t.vmax
-    if over.any():
-        v[over] *= (t.vmax[over] / speed[over])[:, None]
-    cand = pm + dt * v
-    if t.env is not None:
-        cand, v = _contain(t.env, pm, cand, v, t.gate)
-    pos.put(t.bins, cand)
-    vel.put(t.bins, v)
+    _run_substeps(_tick, pos, vel, np.array(targets, dtype=np.float64), dt, 1, params)
     return pos, vel
 
 
@@ -841,25 +931,25 @@ class Simulation:
 
     # -- physics ---------------------------------------------------------------
 
-    def _advance_waypoints(self, g_idx: np.ndarray, pos: np.ndarray, tgt: np.ndarray,
-                           mv: np.ndarray) -> None:
+    def _advance_waypoints(self, agents: np.ndarray, pm: np.ndarray, tm: np.ndarray) -> None:
+        """Move on the targets ``tm`` of the moving agents ``agents``, standing at ``pm``."""
         thr = self.config.waypoint_threshold
-        off = pos.take(mv, 0) - tgt.take(mv, 0)
-        for li in mv[off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr]:
-            ag = self.agents[g_idx[li]]
+        off = pm - tm
+        for j in (off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr).nonzero()[0]:
+            ag = self.agents[agents[j]]
             if not ag.waypoints:
                 continue
             while ag.wp_i < len(ag.waypoints) - 1:
                 wx, wy = ag.waypoints[ag.wp_i]
-                if (pos[li, 0] - wx) ** 2 + (pos[li, 1] - wy) ** 2 > thr * thr:
+                if (pm[j, 0] - wx) ** 2 + (pm[j, 1] - wy) ** 2 > thr * thr:
                     break
                 ag.wp_i += 1
             wx, wy = ag.waypoints[ag.wp_i]
             last = ag.wp_i == len(ag.waypoints) - 1
-            if last and (pos[li, 0] - wx) ** 2 + (pos[li, 1] - wy) ** 2 <= thr * thr:
-                tgt[li] = pos[li]  # close enough: brake and let the workflow take over
+            if last and (pm[j, 0] - wx) ** 2 + (pm[j, 1] - wy) ** 2 <= thr * thr:
+                tm[j] = pm[j]  # close enough: brake and let the workflow take over
             else:
-                tgt[li] = (wx, wy)
+                tm[j] = (wx, wy)
 
     def _physics(self) -> None:
         g_idx = np.nonzero(self.present)[0]
@@ -879,10 +969,9 @@ class Simulation:
         # one neighbour search and one wall gather per tick; substeps filter them
         tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, fb, self.env,
                              self._obstacles, self.tick_length, substeps)
-        for _ in range(substeps):
-            self._advance_waypoints(g_idx, pos, tgt, tick.mv)
-            pos, vel = social_force_step(pos, vel, tgt, speeds, radii, dt, self.config.forces,
-                                         _tick=tick)
+        agents = g_idx[tick.mv]
+        _run_substeps(tick, pos, vel, tgt, dt, substeps, self.config.forces,
+                      lambda pm, tm: self._advance_waypoints(agents, pm, tm))
         self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
 
     # -- main loop ---------------------------------------------------------------

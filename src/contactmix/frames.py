@@ -4,14 +4,15 @@ One line per present agent: ``tick,agent_id,type_name,x_m,y_m``.  A header
 line is optional.  Ticks must be dense integers starting at 0; a tick with no
 agents on site is written as a placeholder line with empty agent columns
 (``7,,,,``) so density stays checkable.  Malformed or out-of-order lines,
-type names with a ":", ids that do not fit in an int64, positions that are
-not finite and text that is not UTF-8 are rejected with their line number.
+type names that ``check_type_name`` rejects, ids that do not fit in an
+int64, positions that are not finite and text that is not UTF-8 are
+rejected with their line number.
 
 ``read_frames`` reads ``ROWS`` lines at a time.  Each block is parsed by one
 ``np.loadtxt`` call and validated with array operations: integer ticks and
 ids, dense ticks continuing from the block before, no id twice in a tick
 (the open tick's rows are carried into the next block for this), finite
-positions and non-empty type names without ":".  A failing block is read
+positions and type names ``check_type_name`` accepts.  A failing block is read
 again by the line-by-line parser, from the same state, so errors keep their
 line numbers and messages and the same frames come before them.
 """
@@ -70,6 +71,24 @@ def write_frames(fh: IO[str], frames: Iterable[TickFrame], header: bool = True) 
                 f"{frame.tick},{frame.ids[i]},{names[frame.type_ids[i]]},"
                 f"{float(x)!r},{float(y)!r}\n"
             )
+
+
+def check_type_name(name: str) -> str | None:
+    """Why ``name`` cannot be a type name, or None if it can.
+
+    Names are written unquoted into CSV cells and trace lines, and ":" joins
+    two of them in an hourly series label, so a name is not empty, holds no
+    "," or ":" and only printable characters (``str.isprintable``: no
+    newline, tab or other control character).
+    """
+    if not name:
+        return "must not be empty"
+    for sep in ",:":
+        if sep in name:
+            return f"must not contain {sep!r}"
+    if not name.isprintable():
+        return "must hold only printable characters"
+    return None
 
 
 # Lines parsed per block.  Bigger blocks parse no faster, but every row of a
@@ -180,7 +199,7 @@ class _Reader:
                                     dtype=np.int32, count=len(names))
         except KeyError:  # a name not seen before, or one scan rejects
             first_seen = dict.fromkeys(names)
-            if any(not name or ":" in name for name in first_seen):
+            if any(check_type_name(name) for name in first_seen):
                 return None
             for name in first_seen:  # every check has passed: commit
                 if name not in self.type_index:
@@ -265,10 +284,9 @@ class _Reader:
                 raise TraceFormatError(line_no, f"agent {agent_id} appears twice in tick {tick}")
             seen.add(agent_id)
             type_name = parts[2]
-            if not type_name:
-                raise TraceFormatError(line_no, "type_name must not be empty")
-            if ":" in type_name:
-                raise TraceFormatError(line_no, f"type_name {type_name!r} must not contain ':'")
+            problem = check_type_name(type_name)
+            if problem:
+                raise TraceFormatError(line_no, f"type_name {type_name!r} {problem}")
             try:
                 x, y = float(parts[3]), float(parts[4])
             except ValueError:

@@ -40,6 +40,8 @@ from typing import Any, Union
 
 import numpy as np
 
+from .frames import check_type_name
+
 DISTRIBUTION_KINDS = ("constant", "uniform", "triangular", "exponential")
 
 
@@ -465,8 +467,9 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         _fail(f"{where}: name must be a non-empty string")
-    if "," in name or ":" in name:  # CSV cells and series labels hold names as they are
-        _fail(f"{where}: name {name!r} must not contain ',' or ':'")
+    problem = check_type_name(name)
+    if problem:
+        _fail(f"{where}: name {name!r} {problem}")
     where = f"agent_types[{name!r}]"
     population = obj.get("population")
     if not isinstance(population, int) or isinstance(population, bool) or population < 0:

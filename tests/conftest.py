@@ -10,12 +10,19 @@ themselves.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from contactmix.frames import TickFrame
+
+# CI selects this with HYPOTHESIS_PROFILE=ci: the same examples on every run,
+# and a failing bit-exact property prints the blob that replays it locally
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # --- brute-force adjacency oracle --------------------------------------------
 

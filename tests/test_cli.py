@@ -10,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contactmix.__main__
+from contactmix import cli
 from contactmix.aggregate import matrix_from_csv
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from contactmix.frames import ROWS, write_frames
 
 from conftest import GOLDEN_IDS
 
@@ -33,10 +36,9 @@ MATRIX_FILES = [
 ]
 
 
-@pytest.fixture
-def clinic(tmp_path):
-    # a small scenario file of our own so tests do not depend on shipped data
-    doc = {
+def clinic_doc():
+    # a small scenario of our own so tests do not depend on shipped data
+    return {
         "map": {
             "cell_size_m": 1.0,
             "width": 10,
@@ -70,8 +72,12 @@ def clinic(tmp_path):
             },
         ],
     }
+
+
+@pytest.fixture
+def clinic(tmp_path):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(json.dumps(clinic_doc()), encoding="utf-8")
     return path
 
 
@@ -140,6 +146,124 @@ def test_run_then_ingest_reproduces_matrices(clinic, tmp_path):
     assert code == EXIT_OK
     for name in MATRIX_FILES:
         assert filecmp.cmp(sim_out / name, ing_out / name, shallow=False), name
+
+
+# printable characters other than "," and ":": "Other" and "Separator"
+# characters are not printable, the ASCII space excepted
+TYPE_NAMES = st.text(
+    st.characters(exclude_categories=("C", "Z"), exclude_characters=",:") | st.just(" "),
+    min_size=1, max_size=6,
+)
+
+
+@given(names=st.lists(TYPE_NAMES, min_size=2, max_size=2, unique=True),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_any_accepted_type_names_replay_to_the_same_matrices(names, seed, tmp_path_factory):
+    """Whatever type names a scenario may hold, its exported frames.csv
+    replays through ingest-trace to the same matrices."""
+    doc = clinic_doc()
+    for spec, name in zip(doc["agent_types"], names):
+        spec["name"] = name
+    tmp = tmp_path_factory.mktemp("names")
+    (tmp / "scenario.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("run", "--scenario", tmp / "scenario.json", "--seed", seed, "--ticks", 60,
+                   "--out", tmp / "sim", "--export-frames") == EXIT_OK
+    assert run_cli("ingest-trace", "--trace", tmp / "sim" / "frames.csv",
+                   "--out", tmp / "ing") == EXIT_OK
+    for name in MATRIX_FILES:
+        assert filecmp.cmp(tmp / "sim" / name, tmp / "ing" / name, shallow=False), name
+
+
+class PerFrameObserver:
+    """The observer ``cli.cmd_run`` used before detection was grouped, in the
+    shape of ``cli._GroupedDetection``: the ledger searches each frame for
+    pairs itself, and each frame is written on its own, at once."""
+
+    def __init__(self, ledger, trace=None):
+        self.ledger = ledger
+        self.trace = trace
+
+    def add(self, frame):
+        self.ledger.observe(frame)
+        if self.trace is not None:
+            write_frames(self.trace, [frame], header=False)
+
+    def flush(self):
+        pass
+
+
+def grouped_and_per_frame(monkeypatch, rows, argv, tmp_path):
+    """Run ``argv`` with detection in groups of about ``rows`` rows, then
+    with ``PerFrameObserver``; returns both exit codes, both output
+    directories and the sizes of the groups searched."""
+    monkeypatch.setattr(cli, "ROWS", rows)
+    groups = []
+    search = cli.pairs_within_frames
+
+    def counted(frames, radius):
+        groups.append(len(frames))
+        return search(frames, radius)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "pairs_within_frames", counted)
+        grouped = run_cli(*argv, "--out", tmp_path / "grouped")
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_GroupedDetection", PerFrameObserver)
+        per_frame = run_cli(*argv, "--out", tmp_path / "per_frame")
+    return grouped, per_frame, tmp_path / "grouped", tmp_path / "per_frame", groups
+
+
+@pytest.mark.parametrize("rows", [5, 40, ROWS])
+def test_grouped_run_writes_what_the_per_frame_observer_wrote(rows, clinic, monkeypatch,
+                                                              tmp_path):
+    ticks = 3 * ROWS if rows == ROWS else 150  # empty ticks are a row each
+    argv = ["run", "--scenario", clinic, "--seed", 5, "--ticks", ticks, "--export-frames"]
+    grouped, per_frame, a, b, groups = grouped_and_per_frame(monkeypatch, rows, argv, tmp_path)
+    assert grouped == per_frame == EXIT_OK
+    assert len(groups) >= 3 and sum(groups) == ticks
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+@pytest.mark.parametrize("rows", [5, ROWS])
+def test_a_run_that_faults_mid_group_leaves_the_same_frames(rows, monkeypatch, tmp_path, capsys):
+    """The frames made before the fault reach frames.csv, as they did one by one."""
+    def dwell(seconds):
+        return {"kind": "dwell", "duration": {"kind": "constant", "value": seconds}}
+
+    # the keeper ends its workflow holding P, which the visitor then waits for
+    doc = {
+        "map": {
+            "cell_size_m": 1.0, "width": 12, "height": 6, "blocked": [],
+            "locations": {
+                "P": {"cells": [[2, 2]], "capacity": 1},
+                "R": {"cells": [[9, 4]], "capacity": None},
+            },
+        },
+        "agent_types": [
+            {"name": "keeper", "population": 1, "workflow": [
+                {"kind": "goto", "location": "R"}, dwell(20), {"kind": "goto", "location": "P"},
+            ]},
+            {"name": "visitor", "population": 1, "workflow": [
+                {"kind": "goto", "location": "R"}, dwell(45), {"kind": "goto", "location": "P"},
+                {"kind": "depart"},
+            ]},
+        ],
+    }
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["run", "--scenario", path, "--ticks", 500, "--export-frames"]
+    grouped, per_frame, a, b, groups = grouped_and_per_frame(monkeypatch, rows, argv, tmp_path)
+    assert grouped == per_frame == EXIT_FAULT
+    assert "has ended its workflow" in capsys.readouterr().err
+    lines = (a / "frames.csv").read_text(encoding="utf-8").splitlines()[1:]
+    frames = len({line.split(",")[0] for line in lines})
+    assert frames > 40 and sum(groups) == frames
+    # with full-size groups the whole run is one group, cut short by the fault
+    assert len(groups) == 1 if rows == ROWS else len(groups) >= 3
+    assert filecmp.cmp(a / "frames.csv", b / "frames.csv", shallow=False)
 
 
 def test_zero_population_scenario(tmp_path):
@@ -321,6 +445,16 @@ def test_ingest_bad_populations_syntax_exits_1(golden_trace, tmp_path, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["a:b", "a\tb", "a\x7fb"])
+def test_ingest_populations_type_name_rule(name, golden_trace, tmp_path, capsys):
+    code = run_cli("ingest-trace", "--trace", golden_trace,
+                   "--populations", f"{name}=3", "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err.startswith(
+        f"error: bad --populations entry {name + '=3'!r}; type name {name!r} must ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_tick_jump_names_line(tmp_path, capsys):
     path = tmp_path / "gap.csv"
     path.write_text(
@@ -363,6 +497,11 @@ REJECTED_TRACES = {
     # ":" joins two type names in an hourly series label
     "colon in a type name": ("0,1,red,0.0,0.0\n0,2,a:b,1.0,0.0\n",
                              "error: line 3: type_name 'a:b' must not contain ':'"),
+    # names are written unquoted, so every character must print as itself
+    "tab in a type name": ("0,1,red,0.0,0.0\n1,2,a\tb,1.0,0.0\n",
+                           "error: line 3: type_name 'a\\tb' must hold only printable characters"),
+    "wide space in a type name": ("0,1,red,0.0,0.0\n0,2,a\u3000b,1.0,0.0\n",
+                                  "error: line 3: type_name 'a\\u3000b' must hold only printable"),
     # written as the byte 0xff, which is not UTF-8
     "not UTF-8": ("0,1,red,0.0,0.0\n1,1,red\udcff,0.0,0.0\n",
                   "error: line 3: not valid UTF-8 text"),

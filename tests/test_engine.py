@@ -225,7 +225,8 @@ def wall_forces(env, table, pos, radii, params, tick_length=0.0):
     n = len(pos)
     tick = _prepare_tick(pos, np.ones(n), radii, params, np.ones(n, dtype=bool), None,
                          env, table, tick_length, 1)
-    return _obstacle_acceleration(tick, pos, params)
+    acc = _obstacle_acceleration(tick, pos, params)
+    return np.zeros((n, 2)) if acc is None else acc  # None: no wall within the cutoff
 
 
 def test_points_beyond_the_padded_grid_feel_no_wall():

@@ -5,13 +5,16 @@ moving rows, the agent pairs within a skin radius that have a moving end,
 each moving agent's walls gathered where it starts the tick from a table
 widened by one agent's tick travel, and the gates.  Every substep then
 computes moving rows only, filters both lists by the exact cutoffs and sums
-forces with ``np.bincount``.  The reference below is the substep as it was
-before: a ``pairs_within`` search and a wall lookup in each agent's current
-cell on every substep, forces for every agent, ``np.add.at`` sums, and
-containment by separate walkability and location lookups.  Both must give
-the same bytes, substep after substep, on crowds at the speed cap, in
-head-on approach, against walls, coincident and isolated, with any share of
-the agents moving.
+forces with ``np.bincount``.  One kernel call runs all the substeps of a
+tick, carrying each moving row's cell code from one containment to the
+next and leaving containment out for a tick in which no step can be cut.
+The reference below is the substep as it was before: a ``pairs_within``
+search and a wall lookup in each agent's current cell on every substep,
+forces for every agent, ``np.add.at`` sums, and containment by separate
+walkability and location lookups.  Looped, it must give the kernel's bytes
+at every substep start and at the end of the tick, on crowds at the speed
+cap, in head-on approach, against walls, coincident and isolated, with any
+share of the agents moving.
 """
 
 from __future__ import annotations
@@ -23,16 +26,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactmix import engine
 from contactmix.contacts import BRUTE_FORCE_MAX_N, pairs_within
 from contactmix.engine import (
+    _NO_GATE,
     ForceParameters,
     _agent_cutoff,
     _build_obstacle_table,
+    _cell_code,
     _gather_walls,
     _near_pairs,
     _obstacle_radius,
     _pair_direction,
     _prepare_tick,
+    _run_substeps,
     _skin_radius,
     _tick_travel,
     social_force_step,
@@ -195,6 +202,11 @@ def walled_env():
 
 
 ENV = walled_env()
+# a 12x8 map: a wall column at x = 6 and, left of it, a bay from y = 4 to 7
+BAY = parse_scenario(json.dumps({"map": {
+    "cell_size_m": 1.0, "width": 12, "height": 8, "blocked": [[6, y] for y in range(8)],
+    "locations": {"bay": {"cells": [[x, y] for x in range(3, 6) for y in range(4, 7)]}},
+}})).map
 
 
 def walkable_points(rng, env, k, x_hi):
@@ -253,25 +265,56 @@ def tick_setup(n, seed, relaxation_time):
 
 def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length,
                 substeps, env=ENV):
-    """One tick as ``Simulation._physics`` runs it, each substep checked against
-    ``reference_step`` bit for bit; returns the tick state and the positions
-    at the start of every substep."""
+    """One tick as ``Simulation._physics`` runs it, in one kernel call, checked
+    against ``reference_step`` looped, bit for bit: the moving rows at every
+    substep start, and the whole state at the end.  Every cell code the
+    kernel carries must be the one a fresh ``_cell_code`` gives; in a tick
+    that leaves containment out, every step must end where the reference's
+    containment lets it.  Returns the tick and the reference positions at
+    the start of every substep."""
     table = _build_obstacle_table(
         env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
     )
     tick = _prepare_tick(pos, speeds, radii, params, moving, forbidden, env, table,
                          tick_length, substeps)
     dt = tick_length / substeps
+    seen = []
+    contained = []
+
+    def record(pm, tm):
+        assert tm.tobytes() == targets[tick.mv].tobytes()  # nothing advances them here
+        seen.append(pm.copy())
+
+    def checked_contain(env, pm, code, cand, vel, gate):
+        assert code.tobytes() == _cell_code(env, pm).tobytes()
+        end = real_contain(env, pm, code, cand, vel, gate)
+        assert end.tobytes() == _cell_code(env, cand).tobytes()
+        contained.append(len(pm))
+        return end
+
+    real_contain = engine._contain
+    got_pos, got_vel, got_tgt = pos.copy(), vel.copy(), targets.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_contain", checked_contain)
+        _run_substeps(tick, got_pos, got_vel, got_tgt, dt, substeps, params, record)
+    assert len(contained) == (0 if tick.env is None else substeps)
+
     ref_pos, ref_vel = pos, vel
     starts = []
     for step in range(substeps):
-        starts.append(pos)
-        pos, vel = social_force_step(pos, vel, targets, speeds, radii, dt, params, _tick=tick)
+        starts.append(ref_pos)
+        assert seen[step].tobytes() == ref_pos[tick.mv].tobytes(), step
         ref_pos, ref_vel = reference_step(
             ref_pos, ref_vel, targets, speeds, radii, dt, params, env, moving, forbidden, table
         )
-        assert pos.tobytes() == ref_pos.tobytes(), step
-        assert vel.tobytes() == ref_vel.tobytes(), step
+    assert got_pos.tobytes() == ref_pos.tobytes()
+    assert got_vel.tobytes() == ref_vel.tobytes()
+    assert got_tgt.tobytes() == targets.tobytes()
+    if tick.env is None:  # containment left out: no step may have needed it
+        assert (forbidden[moving] < 0).all()
+        fb = np.full(len(tick.mv), -1)
+        for p in seen[1:] + [ref_pos[tick.mv]]:
+            assert reference_allowed(env, p, fb, np.zeros(len(fb), dtype=bool)).all()
     return tick, starts
 
 
@@ -338,6 +381,101 @@ def test_any_share_of_moving_agents_matches_the_reference(n, fraction, seed):
     tick, _ = kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden,
                           tick_length, 10)
     assert tick.mv.tobytes() == np.nonzero(moving)[0].tobytes()
+
+
+def open_setup(seed, pos):
+    """Ungated agents at the speed cap at ``pos``, in the open right half of
+    the map: farther from every blocked and off-map cell than a tick's travel."""
+    rng = np.random.default_rng([seed, 2])
+    n = len(pos)
+    params = ForceParameters(relaxation_time=5.0)
+    radii = rng.choice([0.2, 0.25, 0.3], size=n)
+    speeds = rng.uniform(0.8, 1.6, size=n)
+    heading = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    unit = np.column_stack([np.cos(heading), np.sin(heading)])
+    vel = params.max_speed_factor * speeds[:, None] * unit
+    return (params, radii, speeds, 1.0, np.array(pos, dtype=np.float64), vel, pos + 30.0 * unit,
+            np.ones(n, dtype=bool), np.full(n, -1, dtype=np.int64))
+
+
+def kernel_case(case, seed):
+    """A tick of one kind, and the check that it is of that kind."""
+    if case == "walls and coincident agents":
+        params, radii, speeds, tick_length, _, pos, vel, targets, moving, forbidden = (
+            tick_setup(40, seed, 5.0))
+        moving[:] = True
+
+        def check(tick):
+            a, b = tick.pairs
+            assert len(tick.wall_agent) and tick.env is not None
+            assert np.all(pos[a] == pos[b], axis=1).any()
+    elif case == "gates":
+        params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
+            gated_setup(40, seed, 0.5))
+
+        def check(tick):
+            assert (tick.gate != _NO_GATE).any() and tick.env is not None
+    elif case == "open":
+        rng = np.random.default_rng([seed, 3])
+        params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
+            open_setup(seed, rng.uniform((27.0, 7.0), (38.0, 17.0), size=(12, 2))))
+
+        def check(tick):
+            assert tick.env is None and len(tick.wall_agent) == 0 and tick.pairs.shape[1]
+    elif case == "no pairs":
+        params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
+            open_setup(seed, [(28.0, 8.0), (36.0, 8.0), (32.0, 16.0)]))
+
+        def check(tick):
+            assert tick.pairs.shape == (2, 0) and tick.env is None
+    elif case == "slides and stops":
+        # agent 0 slides along a wall into the bay, agent 1 is stuck in a corner;
+        # no wall force turns them away
+        params = ForceParameters(relaxation_time=5.0, obstacle_strength=0.0)
+        radii, speeds, tick_length = np.full(2, 0.25), np.full(2, 1.2), 1.0
+        pos = np.array([[5.7, 3.7], [5.8, 7.8]])
+        unit = np.array([math.cos(0.8), math.sin(0.8)])
+        vel = params.max_speed_factor * speeds[:, None] * unit
+        targets = pos + 30.0 * unit
+        moving, forbidden = np.ones(2, dtype=bool), np.full(2, -1)
+
+        def check(tick):
+            assert tick.env is not None
+            end = social_force_step(pos, vel, targets, speeds, radii, tick_length, params, BAY)[0]
+            assert _cell_code(BAY, end).tolist() == [0, -1]  # into the bay; stopped
+            assert end[1].tolist() == pos[1].tolist()
+        args = (pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length)
+        return args, check, BAY
+    else:  # "negative zero": the relaxation term's x component is -0.0
+        params = ForceParameters(relaxation_time=1e300)
+        radii, speeds, tick_length = np.array([0.25]), np.array([1.2]), 1.0
+        pos = np.array([[30.0, 12.0]])
+        vel = np.array([[-0.0, 0.0]])
+        targets = np.array([[np.nextafter(30.0, 0.0), 1e300]])
+        moving, forbidden = np.array([True]), np.full(1, -1)
+        delta = targets - pos
+        ehat = delta / np.hypot(delta[:, 0], delta[:, 1])[:, None]
+        relax = (speeds[:, None] * ehat - vel) / params.relaxation_time
+        assert np.signbit(relax[0, 0]) and relax[0, 0] == 0.0
+
+        def check(tick):
+            assert tick.pairs.shape == (2, 0) and len(tick.wall_agent) == 0
+            # bincount, and so the kernel, sums -0.0 to +0.0
+            v = social_force_step(pos, vel, targets, speeds, radii, 0.1, params, ENV)[1]
+            assert v[0, 0] == 0.0 and not np.signbit(v[0, 0])
+    return (pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length), check, ENV
+
+
+@pytest.mark.parametrize("substeps", range(1, 11))
+@pytest.mark.parametrize("case", ["walls and coincident agents", "gates", "open", "no pairs",
+                                  "slides and stops", "negative zero"])
+def test_the_tick_kernel_matches_the_reference_looped(case, substeps):
+    """Every substep count from 1 to 10, on ticks with and without pairs,
+    walls, gates and containment, with slides that change an agent's cell
+    code, coincident agents and a -0.0 relaxation term."""
+    args, check, env = kernel_case(case, substeps)
+    tick, _ = kernel_tick(*args, substeps, env=env)
+    check(tick)
 
 
 def test_a_tick_where_only_frozen_agents_are_near_each_other():

@@ -3,8 +3,9 @@ per-frame code they replaced.
 
 ``read_frames`` parses ``ROWS`` lines at a time with ``np.loadtxt`` and
 falls back to a line loop for a block it cannot vouch for.  The reference
-below is the line loop as it was before blocks, with the rule since added
-that a type name holds no ":": on every generated trace,
+below is the line loop as it was before blocks, with the rules since added
+that a type name holds no ":" and only printable characters: on every
+generated trace,
 valid or with one fault, both must yield the same frames, and the same
 frames before a ``TraceFormatError`` with the same message.
 
@@ -88,9 +89,12 @@ def reference_read_frames(lines):
         seen.add(agent_id)
         type_name = parts[2]
         if not type_name:
-            raise TraceFormatError(line_no, "type_name must not be empty")
+            raise TraceFormatError(line_no, "type_name '' must not be empty")
         if ":" in type_name:
             raise TraceFormatError(line_no, f"type_name {type_name!r} must not contain ':'")
+        if not type_name.isprintable():
+            raise TraceFormatError(
+                line_no, f"type_name {type_name!r} must hold only printable characters")
         try:
             x, y = float(parts[3]), float(parts[4])
         except ValueError:
@@ -211,11 +215,13 @@ def inject(lines, k, fault):
         body[k] = f"{tick},{aid},,{x},{y}\n"
     elif fault == "colon in type":
         body[k] = f"{tick},{aid},{name}:{name},{x},{y}\n"
+    elif fault == "tab in type":
+        body[k] = f"{tick},{aid},{name}\t{name},{x},{y}\n"
     return lines[:1] + body
 
 
 FAULTS = ["6 fields", "float tick", "id with underscore", "NaN", "duplicate id",
-          "tick jump", "empty type", "colon in type"]
+          "tick jump", "empty type", "colon in type", "tab in type"]
 
 
 @pytest.mark.parametrize("fault", FAULTS)

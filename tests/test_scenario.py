@@ -84,6 +84,15 @@ def test_type_name_with_a_separator_rejected(name):
         parse_scenario(json.dumps(d))
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\tb", "nurse\x7f", "\u2028", "a\u00a0b"])
+def test_type_name_with_a_character_that_is_not_printable_rejected(name):
+    d = doc()
+    d["agent_types"][0]["name"] = name
+    with pytest.raises(ScenarioError,
+                       match=r"agent_types\[0\]: name .* must hold only printable characters"):
+        parse_scenario(json.dumps(d))
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ScenarioError, match=r"line \d+ column \d+"):
         parse_scenario('{\n  "map": [,]\n}')
