@@ -372,21 +372,20 @@ def hourly_series(
 # --- exposure ----------------------------------------------------------------
 
 
+def _derived(m: ContactMatrix, metric: str, values: np.ndarray) -> ContactMatrix:
+    """A matrix with ``m``'s level, labels and defined cells, holding
+    ``values`` in the defined cells and 0 elsewhere."""
+    return ContactMatrix(m.level, metric, list(m.row_labels), list(m.col_labels),
+                         np.where(m.defined, values, 0.0), m.defined.copy())
+
+
 def effective_chunks(duration_matrix: ContactMatrix, chunk_length: int) -> ContactMatrix:
     """Duration cells divided into chunks of chunk_length ticks (fractional)."""
     if duration_matrix.metric != "duration":
         raise ValueError("effective_chunks expects a duration matrix")
     if chunk_length < 1:
         raise ValueError("chunk_length must be >= 1 tick")
-    values = np.where(duration_matrix.defined, duration_matrix.values / chunk_length, 0.0)
-    return ContactMatrix(
-        duration_matrix.level,
-        "chunks",
-        list(duration_matrix.row_labels),
-        list(duration_matrix.col_labels),
-        values,
-        duration_matrix.defined.copy(),
-    )
+    return _derived(duration_matrix, "chunks", duration_matrix.values / chunk_length)
 
 
 def transmission_probability(chunks: ContactMatrix, p: float) -> ContactMatrix:
@@ -396,15 +395,7 @@ def transmission_probability(chunks: ContactMatrix, p: float) -> ContactMatrix:
     f = chunks.values
     if np.any(f[chunks.defined] < 0):
         raise ValueError("chunk counts must be >= 0")
-    values = np.where(chunks.defined, 1.0 - (1.0 - p) ** f, 0.0)
-    return ContactMatrix(
-        chunks.level,
-        "probability",
-        list(chunks.row_labels),
-        list(chunks.col_labels),
-        values,
-        chunks.defined.copy(),
-    )
+    return _derived(chunks, "probability", 1.0 - (1.0 - p) ** f)
 
 
 def rescale_per_day(matrix: ContactMatrix, horizon_ticks: int, tick_length: float) -> ContactMatrix:
@@ -414,12 +405,4 @@ def rescale_per_day(matrix: ContactMatrix, horizon_ticks: int, tick_length: floa
     if horizon_ticks < 1:
         raise ValueError("horizon_ticks must be >= 1")
     factor = 86400.0 / (horizon_ticks * tick_length)
-    values = np.where(matrix.defined, matrix.values * factor, 0.0)
-    return ContactMatrix(
-        matrix.level,
-        matrix.metric,
-        list(matrix.row_labels),
-        list(matrix.col_labels),
-        values,
-        matrix.defined.copy(),
-    )
+    return _derived(matrix, matrix.metric, matrix.values * factor)

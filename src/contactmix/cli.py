@@ -105,25 +105,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _contact_config(args: argparse.Namespace, tick_length: float) -> ContactConfig:
-    return ContactConfig(
+def _ledger(args: argparse.Namespace) -> ContactLedger:
+    return ContactLedger(ContactConfig(
         effective_radius=args.radius_m,
-        tick_length=tick_length,
         min_duration=args.min_duration_ticks,
         chunk_length=args.chunk_ticks,
-    )
+    ))
 
 
-def _bucket_length(tick_length: float) -> int:
-    return max(1, round_half_up(3600.0 / tick_length))
+def _write_outputs(
+    args: argparse.Namespace, ledger: ContactLedger, populations: dict[str, int],
+    tick_length: float, manifest: dict[str, Any],
+) -> int:
+    """Write the bundle of a finished ledger.  ``manifest`` holds the
+    command's own entries; this adds the ones every command writes."""
+    bucket_length = max(1, round_half_up(3600.0 / tick_length))  # one hour
+    manifest.update({
+        "tick_length_s": tick_length,
+        "radius_m": args.radius_m,
+        "min_duration_ticks": args.min_duration_ticks,
+        "chunk_ticks": args.chunk_ticks,
+        "base_p": args.base_p,
+        "bucket_ticks": bucket_length,
+        "populations": populations,
+    })
+    write_bundle(args.out, ledger, populations, manifest, args.base_p, bucket_length)
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     tick_length = args.tick_length_s if args.tick_length_s is not None else scenario.tick_length
     config = SimConfig(ticks=args.ticks, seed=args.seed, tick_length=tick_length)
-    contact_cfg = _contact_config(args, tick_length)
-    ledger = ContactLedger(contact_cfg)
+    ledger = _ledger(args)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -138,26 +152,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             detection.flush()  # the frames made before a fault still reach frames.csv
 
     ledger.finalize(args.ticks - 1)
-    populations = scenario.populations
-    manifest: dict[str, Any] = {
+    return _write_outputs(args, ledger, scenario.populations, tick_length, {
         "command": "run",
         "scenario": args.scenario,
         "seed": args.seed,
         "ticks": args.ticks,
-        "tick_length_s": tick_length,
-        "radius_m": args.radius_m,
-        "min_duration_ticks": args.min_duration_ticks,
-        "chunk_ticks": args.chunk_ticks,
-        "base_p": args.base_p,
-        "bucket_ticks": _bucket_length(tick_length),
         "export_frames": bool(args.export_frames),
-        "populations": populations,
         "agents": summary.agents,
         "arrivals": summary.arrivals,
         "departures": summary.departures,
-    }
-    write_bundle(out, ledger, populations, manifest, args.base_p, _bucket_length(tick_length))
-    return EXIT_OK
+    })
 
 
 def _parse_populations(spec: str | None) -> dict[str, int]:
@@ -165,8 +169,8 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
         return {}
     out: dict[str, int] = {}
     for item in spec.split(","):
-        name, sep, value = item.partition("=")
-        name = name.strip()
+        # the count holds no "=", a type name may; the name is kept as written
+        name, sep, value = item.rpartition("=")
         if not sep or not name:
             raise _UsageError(f"bad --populations entry {item!r}; expected name=count")
         problem = check_type_name(name)
@@ -214,8 +218,7 @@ class _GroupedDetection:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    contact_cfg = _contact_config(args, args.tick_length_s)
-    ledger = ContactLedger(contact_cfg)
+    ledger = _ledger(args)
     detection = _GroupedDetection(ledger)
     # bytes that are not UTF-8 reach read_frames, which names their line
     with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -238,22 +241,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 f"--populations gives {count} for {name!r} but the trace shows {observed}"
             )
         populations[name] = count
-
-    manifest: dict[str, Any] = {
+    return _write_outputs(args, ledger, populations, args.tick_length_s, {
         "command": "ingest-trace",
         "trace": args.trace,
         "ticks": last_tick + 1,
-        "tick_length_s": args.tick_length_s,
-        "radius_m": args.radius_m,
-        "min_duration_ticks": args.min_duration_ticks,
-        "chunk_ticks": args.chunk_ticks,
-        "base_p": args.base_p,
-        "bucket_ticks": _bucket_length(args.tick_length_s),
-        "populations": populations,
-    }
-    write_bundle(args.out, ledger, populations, manifest, args.base_p,
-                 _bucket_length(args.tick_length_s))
-    return EXIT_OK
+    })
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -55,15 +55,12 @@ class NonMonotonicTickError(FrameError):
 @dataclass(frozen=True)
 class ContactConfig:
     effective_radius: float = 2.0  # m
-    tick_length: float = 1.0  # s
     min_duration: int = 1  # ticks; applied at aggregation, never at logging
     chunk_length: int = 900  # ticks per exposure chunk
 
     def __post_init__(self) -> None:
-        for name in ("effective_radius", "tick_length"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.effective_radius) and self.effective_radius > 0):
+            raise ValueError("effective_radius must be finite and > 0")
         if self.min_duration < 1:
             raise ValueError("min_duration must be >= 1 tick")
         if self.chunk_length < 1:
@@ -86,7 +83,8 @@ def _expand_blocks(
         return e, e.copy()
     t = np.arange(total, dtype=np.int64)
     t -= np.repeat(np.cumsum(m) - m, m)
-    q, r = np.divmod(t, np.repeat(nb, m))
+    r = np.repeat(nb, m)
+    q, r = np.divmod(t, r, out=(t, r))
     q += np.repeat(g_start[ga], m)
     r += np.repeat(g_start[gb], m)
     return q, r
@@ -126,26 +124,22 @@ def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.nd
     order = np.argsort(key, kind="stable")
     uniq, g_start, g_count = np.unique(key[order], return_index=True, return_counts=True)
 
-    parts_i = []
-    parts_j = []
-
-    # same cell: full product, upper triangle kept below
+    # group pairs: each cell with itself (full product), then its forward
+    # neighbours E, NE, N, SE in grid terms
     self_g = np.nonzero(g_count >= 2)[0]
-    i, j = _expand_blocks(g_start, g_count, self_g, self_g)
-    keep = i < j
-    parts_i.append(i[keep])
-    parts_j.append(j[keep])
-
-    # forward neighbours: E, NE, N, SE in grid terms
+    ga, gb = [self_g], [self_g]
     for off in (stride, stride + 1, 1, stride - 1):
         pos = np.searchsorted(uniq, uniq + off)
         pos_c = np.minimum(pos, len(uniq) - 1)
         ok = uniq[pos_c] == uniq + off
-        i, j = _expand_blocks(g_start, g_count, np.nonzero(ok)[0], pos[ok])
-        parts_i.append(i)
-        parts_j.append(j)
-
-    return order[np.concatenate(parts_i)], order[np.concatenate(parts_j)]
+        ga.append(np.nonzero(ok)[0])
+        gb.append(pos[ok])
+    i, j = _expand_blocks(g_start, g_count, np.concatenate(ga), np.concatenate(gb))
+    # a forward neighbour's key is larger, so its points sort after the
+    # cell's: i < j keeps every cross-cell pair and a cell's upper triangle
+    keep = i < j
+    i, j = i[keep], j[keep]
+    return order[i], order[j]
 
 
 @np.errstate(over="ignore")  # an offset or square beyond the float range is inf: out of range
@@ -165,15 +159,21 @@ def _in_range(
         return empty, empty.copy(), np.empty(0), None if frame is None else empty.copy()
     # component-wise gathers beat 2-D row gathers on this hot path
     px, py = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
-    dx = px[cand_i] - px[cand_j]
-    dy = py[cand_i] - py[cand_j]
-    d2 = dx * dx + dy * dy
+    # d2 = dx * dx + dy * dy, in place: the same operations, so the same bits
+    d2 = px[cand_i]
+    d2 -= px[cand_j]
+    d2 *= d2
+    dy = py[cand_i]
+    dy -= py[cand_j]
+    dy *= dy
+    d2 += dy
     keep = d2 <= radius * radius
     cand_i, cand_j = cand_i[keep], cand_j[keep]
     dist = np.sqrt(d2[keep])
+    del d2, dy  # one per candidate: freed before the per-pair arrays are made
 
-    ids_i, ids_j = ids[cand_i], ids[cand_j]
-    a, b = np.minimum(ids_i, ids_j), np.maximum(ids_i, ids_j)
+    a, b = ids[cand_i], ids[cand_j]
+    a, b = np.minimum(a, b), np.maximum(a, b)
     if frame is not None:
         frame = frame[cand_i]
     # (frame, a - base, b - base) packed in one int64 where it fits

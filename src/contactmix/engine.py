@@ -98,6 +98,7 @@ _SLIDES = np.array([[[False, True]], [[True, False]]])  # slide along x, along y
 _XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
 _BOX = np.array([[-1.0], [1.0]])  # a box's low corner, then its high one
 _BOX_INDEX = np.array([[1], [2]])  # integral image index: of the low cell, one past the high
+WAYPOINT_THRESHOLD = 0.5  # m: a waypoint this close counts as reached
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,6 @@ class SimConfig:
     seed: int = 0
     tick_length: float | None = None  # None: use the scenario default
     physics_substeps: int = 10
-    waypoint_threshold: float = 0.5  # m
     forces: ForceParameters = field(default_factory=ForceParameters)
 
     def __post_init__(self) -> None:
@@ -138,10 +138,9 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
         if self.physics_substeps < 1:
             raise ValueError("physics_substeps must be >= 1")
-        for name in ("tick_length", "waypoint_threshold"):  # tick_length None: the default
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        tick = self.tick_length  # None: the scenario default
+        if tick is not None and not (math.isfinite(tick) and tick > 0):
+            raise ValueError("tick_length must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -521,31 +520,28 @@ def social_force_step(
     positions: np.ndarray, velocities: np.ndarray, targets: np.ndarray,
     desired_speeds: np.ndarray, radii: np.ndarray, dt: float, params: ForceParameters,
     env: EnvironmentMap | None = None, moving: np.ndarray | None = None,
-    forbidden: np.ndarray | None = None, _tick: _Tick | None = None,
+    forbidden: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler substep; returns (positions, velocities) as new arrays.
+    """One Euler substep, run as a tick of one substep of ``dt``; returns
+    (positions, velocities) as new arrays.
 
     Agents outside ``moving`` stay frozen but still repel the others.  With
     an environment, blocked cells repel and the step is truncated so nobody
     ends up inside one; ``forbidden`` optionally names one location index per
-    agent (-1 for none) whose cells that agent may not enter.  ``_tick`` is
-    the state ``_prepare_tick`` made for these agents at the start of the
-    tick, and then stands in for ``env``, ``moving`` and ``forbidden``;
-    without it the step prepares its own, as a tick of one substep of ``dt``.
+    agent (-1 for none) whose cells that agent may not enter.
     """
     n = len(positions)
     pos = np.array(positions, dtype=np.float64)
     vel = np.array(velocities, dtype=np.float64)
     if n == 0:
         return pos, vel
-    if _tick is None:
-        table = None if env is None else _build_obstacle_table(
-            env, float(radii.max()), params, _tick_travel(desired_speeds, params, dt), 1)
-        _tick = _prepare_tick(
-            pos, desired_speeds, radii, params,
-            np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, dt, 1,
-        )
-    _run_substeps(_tick, pos, vel, np.array(targets, dtype=np.float64), dt, 1, params)
+    table = None if env is None else _build_obstacle_table(
+        env, float(radii.max()), params, _tick_travel(desired_speeds, params, dt), 1)
+    tick = _prepare_tick(
+        pos, desired_speeds, radii, params,
+        np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, dt, 1,
+    )
+    _run_substeps(tick, pos, vel, np.array(targets, dtype=np.float64), dt, 1, params)
     return pos, vel
 
 
@@ -602,26 +598,21 @@ class _Cursor:
 
 class _Agent:
     __slots__ = (
-        "index", "type_idx", "spec", "rng", "arrival", "v0",
-        "phase", "cursor", "dwell_remaining", "waypoints", "wp_i",
-        "pending_loc", "queue_mode", "queue_next",
+        "index", "type_idx", "spec", "rng",
+        "phase", "cursor", "dwell_remaining", "waypoints", "wp_i", "pending_loc",
     )
 
-    def __init__(self, index, type_idx, spec, arrival, rng):
+    def __init__(self, index, type_idx, spec, rng):
         self.index = index
         self.type_idx = type_idx
         self.spec = spec
-        self.arrival = arrival
         self.rng = rng
-        self.v0 = spec.desired_speed.sample(rng)
         self.phase = "offsite"  # offsite/moving/dwelling/queue_wait/idle/done
         self.cursor = _Cursor(spec.workflow)
         self.dwell_remaining = 0
         self.waypoints: list[tuple[float, float]] = []
         self.wp_i = 0
         self.pending_loc: str | None = None
-        self.queue_mode = False
-        self.queue_next: str | None = None
 
 
 class _LocationState:
@@ -690,17 +681,21 @@ class Simulation:
         self._route_cells: dict[tuple, tuple] = {}
 
         self.agents: list[_Agent] = []
+        v0: list[float] = []
+        self._arrival_schedule: dict[int, list[int]] = {}
         for t_idx, spec in enumerate(scenario.agent_types):
             for i in range(spec.population):
                 index = len(self.agents)
                 rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-                self.agents.append(_Agent(index, t_idx, spec, spec.arrival[i], rng))
+                v0.append(spec.desired_speed.sample(rng))  # each stream's first draw
+                self.agents.append(_Agent(index, t_idx, spec, rng))
+                self._arrival_schedule.setdefault(spec.arrival[i], []).append(index)
         n = len(self.agents)
 
         self.pos = np.zeros((n, 2))
         self.vel = np.zeros((n, 2))
         self.tgt = np.zeros((n, 2))
-        self.v0 = np.array([a.v0 for a in self.agents], dtype=np.float64)
+        self.v0 = np.array(v0, dtype=np.float64)
         self.radius = np.array([a.spec.radius for a in self.agents], dtype=np.float64)
         self.present = np.zeros(n, dtype=bool)
         # wide enough that a tick's wall list, gathered where agents start it, holds
@@ -712,9 +707,6 @@ class Simulation:
         self.loc_state = {name: _LocationState(loc) for name, loc in self.env.locations.items()}
         self.arrivals = 0
         self.departures = 0
-        self._arrival_schedule: dict[int, list[int]] = {}
-        for a in self.agents:
-            self._arrival_schedule.setdefault(a.arrival, []).append(a.index)
 
     # -- slots -----------------------------------------------------------------
 
@@ -771,10 +763,8 @@ class Simulation:
 
     # -- workflow -----------------------------------------------------------------
 
-    def _begin_goto(self, ag: _Agent, name: str, tick: int, queue_mode: bool) -> None:
+    def _begin_goto(self, ag: _Agent, name: str, tick: int) -> None:
         self._release(ag, keep=name)
-        ag.queue_mode = queue_mode
-        ag.queue_next = None
         if self._holds(ag, name) or self._request(ag, name, tick):
             self._route_to(ag, self._berth_point(ag, name), name)
         else:
@@ -786,11 +776,8 @@ class Simulation:
                 self._freeze(ag, "idle")
                 return
             step = ag.cursor.current()
-            if isinstance(step, GoTo):
-                self._begin_goto(ag, step.location, tick, queue_mode=False)
-                return
-            if isinstance(step, Queue):
-                self._begin_goto(ag, step.location, tick, queue_mode=True)
+            if isinstance(step, (GoTo, Queue)):
+                self._begin_goto(ag, step.location, tick)
                 return
             if isinstance(step, Dwell):
                 ticks = sample_duration(step.duration, ag.rng, self.tick_length)
@@ -819,7 +806,7 @@ class Simulation:
             return False
         dx = self.pos[ag.index, 0] - ag.waypoints[-1][0]
         dy = self.pos[ag.index, 1] - ag.waypoints[-1][1]
-        return math.hypot(dx, dy) <= self.config.waypoint_threshold
+        return math.hypot(dx, dy) <= WAYPOINT_THRESHOLD
 
     def _spawn_wait_point(self, loc: Location, serial: int) -> tuple[float, float]:
         cs = self.env.cell_size
@@ -841,7 +828,6 @@ class Simulation:
         ag.cursor.normalize(tick)
         step = ag.cursor.current()  # validated: goto or queue
         name = step.location
-        ag.queue_mode = isinstance(step, Queue)
         st = self.loc_state[name]
         if self._request(ag, name, tick):
             point = self._berth_point(ag, name)
@@ -859,13 +845,12 @@ class Simulation:
                 ag.cursor.advance(tick)
                 self._enter_current(ag, tick)
         elif ag.phase == "moving":
-            name = ag.cursor.current().location  # a goto or queue step
-            if not self._holds(ag, name) or not self._reached_target(ag):
+            step = ag.cursor.current()  # a goto or queue step
+            if not self._holds(ag, step.location) or not self._reached_target(ag):
                 return
-            if ag.queue_mode:
-                nxt = ag.cursor.peek_next()
-                ag.queue_next = nxt.location  # validated: queue precedes a goto
-                if self._holds(ag, ag.queue_next) or self._request(ag, ag.queue_next, tick):
+            if isinstance(step, Queue):
+                nxt = ag.cursor.peek_next().location  # validated: queue precedes a goto
+                if self._holds(ag, nxt) or self._request(ag, nxt, tick):
                     # slot already in hand: fall straight through to the goto
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
@@ -886,7 +871,8 @@ class Simulation:
                 ag = self.agents[idx]
                 st.take_berth(idx)
                 ag.pending_loc = None
-                if ag.phase == "queue_wait" and ag.queue_next == name:
+                # a waiter in a queue has one pending request: its next goto's
+                if ag.phase == "queue_wait":
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
                 elif ag.phase == "moving":
@@ -933,7 +919,7 @@ class Simulation:
 
     def _advance_waypoints(self, agents: np.ndarray, pm: np.ndarray, tm: np.ndarray) -> None:
         """Move on the targets ``tm`` of the moving agents ``agents``, standing at ``pm``."""
-        thr = self.config.waypoint_threshold
+        thr = WAYPOINT_THRESHOLD
         off = pm - tm
         for j in (off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr).nonzero()[0]:
             ag = self.agents[agents[j]]
@@ -993,9 +979,9 @@ class Simulation:
                 observer(
                     TickFrame(
                         tick=tick,
-                        ids=ids[sel].copy(),
-                        type_ids=type_ids[sel].copy(),
-                        positions=self.pos[sel].copy(),
+                        ids=ids[sel],  # boolean indexing copies
+                        type_ids=type_ids[sel],
+                        positions=self.pos[sel],
                         type_names=self.type_names,
                     )
                 )

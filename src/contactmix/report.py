@@ -98,9 +98,8 @@ def _assemble(
     bucket_length: int,
 ) -> dict[str, Any]:
     by_level: dict[str, dict[str, Any]] = {}
-    for key, m in matrices.items():
-        level, _, metric = key.rpartition("_")
-        by_level.setdefault(level, {})[metric] = _matrix_obj(m)
+    for m in matrices.values():
+        by_level.setdefault(m.level, {})[m.metric] = _matrix_obj(m)
     return {
         "config": dict(manifest),
         "matrices": by_level,

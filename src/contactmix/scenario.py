@@ -53,6 +53,18 @@ def _fail(msg: str) -> None:
     raise ScenarioError(msg)
 
 
+def _finite(v: Any) -> float | None:
+    """``v`` as a float if it is a finite number, else None.  ``json`` reads
+    NaN, Infinity and 1e999 as floats, and a bool is an int to Python."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        v = float(v)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 def round_half_up(x: float) -> int:
     # round() would round 2.5 ticks down; schedule math wants half-up.
     return int(math.floor(x + 0.5))
@@ -112,10 +124,10 @@ def _parse_distribution(obj: Any, where: str, positive: bool = False) -> Distrib
     for name in fields:
         if name not in obj:
             _fail(f"{where}: {kind} distribution is missing {name!r}")
-        v = obj[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            _fail(f"{where}: {name} must be a number")
-        params.append(float(v))
+        v = _finite(obj[name])
+        if v is None:
+            _fail(f"{where}: {name} must be a finite number")
+        params.append(v)
     lo_bound = 0.0
     if positive and any(p <= lo_bound for p in params):
         _fail(f"{where}: {kind} parameters must be > 0")
@@ -316,9 +328,9 @@ def _parse_map(obj: Any) -> EnvironmentMap:
     extra = set(obj) - {"cell_size_m", "width", "height", "blocked", "locations"}
     if extra:
         _fail(f"map: unexpected keys {sorted(extra)}")
-    cell_size = obj.get("cell_size_m")
-    if not isinstance(cell_size, (int, float)) or isinstance(cell_size, bool) or cell_size <= 0:
-        _fail("map.cell_size_m must be a positive number")
+    cs = _finite(obj.get("cell_size_m"))
+    if cs is None or cs <= 0:
+        _fail("map.cell_size_m must be a finite positive number")
     dims = {}
     for k in ("width", "height"):
         v = obj.get(k)
@@ -359,16 +371,11 @@ def _parse_map(obj: Any) -> EnvironmentMap:
             not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1
         ):
             _fail(f"{where}: capacity must be null or an integer >= 1")
-        cs = float(cell_size)
         if "anchor" in raw:
             a = raw["anchor"]
-            if (
-                not isinstance(a, list)
-                or len(a) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in a)
-            ):
-                _fail(f"{where}: anchor must be an [x_m, y_m] pair")
-            anchor = (float(a[0]), float(a[1]))
+            anchor = tuple(map(_finite, a)) if isinstance(a, list) and len(a) == 2 else (None,)
+            if None in anchor:
+                _fail(f"{where}: anchor must be an [x_m, y_m] pair of finite numbers")
             acell = (int(math.floor(anchor[0] / cs)), int(math.floor(anchor[1] / cs)))
             if acell not in cells:
                 _fail(f"{where}: anchor {list(a)} does not fall inside the location cells")
@@ -377,7 +384,7 @@ def _parse_map(obj: Any) -> EnvironmentMap:
         locations[name] = Location(name, cells, capacity, anchor)
 
     return EnvironmentMap(
-        cell_size=float(cell_size),
+        cell_size=cs,
         width=dims["width"],
         height=dims["height"],
         blocked=frozenset(blocked),
@@ -480,9 +487,9 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
         f"{where}.desired_speed",
         positive=True,
     )
-    radius = obj.get("radius", DEFAULT_BODY_RADIUS)
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius <= 0:
-        _fail(f"{where}: radius must be a positive number")
+    radius = _finite(obj.get("radius", DEFAULT_BODY_RADIUS))
+    if radius is None or radius <= 0:
+        _fail(f"{where}: radius must be a finite positive number")
     raw_steps = obj.get("workflow")
     if not isinstance(raw_steps, list):
         _fail(f"{where}: workflow must be a list of steps")
@@ -490,7 +497,7 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
         _parse_step(s, f"{where}.workflow[{i}]", 0) for i, s in enumerate(raw_steps)
     )
     _validate_workflow(steps, locations, f"{where}.workflow")
-    return AgentTypeSpec(name, population, arrival, speed, float(radius), steps)
+    return AgentTypeSpec(name, population, arrival, speed, radius, steps)
 
 
 # --- scenario ---------------------------------------------------------------
@@ -542,11 +549,11 @@ def parse_scenario(text: str) -> Scenario:
     extra = set(defaults) - {"tick_length_s"}
     if extra:
         _fail(f"defaults: unexpected keys {sorted(extra)}")
-    tick = defaults.get("tick_length_s", 1.0)
-    if not isinstance(tick, (int, float)) or isinstance(tick, bool) or tick <= 0:
-        _fail("defaults.tick_length_s must be a positive number")
+    tick = _finite(defaults.get("tick_length_s", 1.0))
+    if tick is None or tick <= 0:
+        _fail("defaults.tick_length_s must be a finite positive number")
 
-    return Scenario(map=env, agent_types=types, tick_length=float(tick))
+    return Scenario(map=env, agent_types=types, tick_length=tick)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -391,6 +391,36 @@ def test_type_name_with_a_separator_exits_1(name, clinic, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# (where in the scenario document, key at fault): json reads NaN, Infinity
+# and 1e999 as floats, and the integer 10**400 is beyond the float range
+NUMERIC_FIELDS = {
+    "cell_size_m": (lambda d: d["map"], "cell_size_m"),
+    "anchor": (lambda d: d["map"]["locations"]["desk"].setdefault("anchor", [1.5, 1.5]), 0),
+    "radius": (lambda d: d["agent_types"][0], "radius"),
+    "desired_speed": (lambda d: d["agent_types"][0].setdefault(
+        "desired_speed", {"kind": "constant", "value": 1.3}), "value"),
+    "duration": (lambda d: d["agent_types"][0]["workflow"][1]["duration"], "value"),
+    "tick_length_s": (lambda d: d.setdefault("defaults", {}), "tick_length_s"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+@pytest.mark.parametrize("value", [
+    "NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="10**400"),
+])
+def test_non_finite_scenario_number_exits_1_naming_the_key(field, value, tmp_path, capsys):
+    doc = clinic_doc()
+    where, key = NUMERIC_FIELDS[field]
+    where(doc)[key] = "@"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"@"', value), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 5, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_file_exits_3(tmp_path):
     code = run_cli("run", "--scenario", tmp_path / "nope.json", "--ticks", 5,
                    "--out", tmp_path / "o")
@@ -453,6 +483,19 @@ def test_ingest_populations_type_name_rule(name, golden_trace, tmp_path, capsys)
     assert capsys.readouterr().err.startswith(
         f"error: bad --populations entry {name + '=3'!r}; type name {name!r} must ")
     assert not (tmp_path / "o").exists()
+
+
+def test_ingest_populations_name_is_kept_as_written(tmp_path):
+    """The count holds no "=", so an entry splits at its last one; spaces
+    are part of a type name, as in the trace."""
+    path = tmp_path / "trace.csv"
+    path.write_text("0,1,a=b,0.0,0.0\n0,2, c ,1.0,0.0\n", encoding="utf-8")
+    code = run_cli("ingest-trace", "--trace", path,
+                   "--populations", "a=b=3, c =2", "--out", tmp_path / "o")
+    assert code == EXIT_OK
+    m = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    assert m["populations"] == {"a=b": 3, " c ": 2}
+    assert read_cell(tmp_path / "o" / "type_count.csv", "a=b", " c ") == "0.166667"  # 1 / (3 * 2)
 
 
 def test_ingest_tick_jump_names_line(tmp_path, capsys):
@@ -614,6 +657,36 @@ def test_console_entry_point(clinic, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "type_count.csv").is_file()
+
+
+TRACED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from contactmix import cli
+out = sys.argv[3]
+assert cli.main(["run", "--scenario", sys.argv[2], "--ticks", "30", "--export-frames",
+                 "--out", out]) == 0
+assert cli.main(["ingest-trace", "--trace", out + "/frames.csv", "--out", out + "/replay"]) == 0
+print(tracer.counters["contacts.agent_ticks"])
+"""
+
+
+def test_benchmark_tracer_installs_and_traces_a_run(clinic, tmp_path):
+    """``bench/tracing.py`` rebinds names in the package; a name it rebinds
+    that is gone, or changed its call, fails here and not only in the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "bench"), str(clinic), str(tmp_path / "o")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    frames = (tmp_path / "o" / "frames.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert int(float(proc.stdout)) == 2 * len(frames)  # each row seen by both ledgers
 
 
 def test_help_exits_zero():

@@ -178,12 +178,10 @@ def test_config_validation():
         ContactConfig(min_duration=0)
     with pytest.raises(ValueError):
         ContactConfig(chunk_length=0)
-    with pytest.raises(ValueError):
-        ContactConfig(tick_length=0.0)
 
 
 
-@pytest.mark.parametrize("name", ["effective_radius", "tick_length"])
+@pytest.mark.parametrize("name", ["effective_radius"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
 def test_config_rejects_non_positive_or_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):

@@ -283,8 +283,6 @@ def test_sim_config_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("tick_length", v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan)
-] + [
-    ("waypoint_threshold", v) for v in (0.0, -0.5, math.inf, math.nan)
 ])
 def test_sim_config_rejects_non_positive_or_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):

@@ -543,5 +543,5 @@ def test_head_on_pair_at_the_cap_is_found_on_the_last_substep():
     found = []
     for _ in range(substeps):
         found.append(len(_near_pairs(tick.pairs, pos, cutoff)[0]))
-        pos, vel = social_force_step(pos, vel, targets, speeds, radii, 0.1, params, _tick=tick)
+        _run_substeps(tick, pos, vel, targets, 0.1, 1, params)
     assert found == [0] * (substeps - 1) + [1]
