@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .contacts import ContactLedger, pair_key
 
 METRICS = ("count", "duration", "distance")
+
+# Records that ``hourly_series`` sums per ``bincount`` call: its temporaries
+# stay this size however many records the ledger holds.
+SERIES_SLICE = 1 << 15
 
 
 def max_unique_contacts(n_a: int, n_b: int) -> int:
@@ -85,18 +89,18 @@ def pair_summaries(ledger: ContactLedger, min_duration: int | None = None) -> Pa
     if tau < 1:
         raise ValueError("min_duration must be >= 1 tick")
     c = ledger.stored_columns()
-    keep = c["duration"] >= tau
-    id_a, id_b = c["id_a"][keep], c["id_b"][keep]
+    id_a, id_b, duration, dist_sum = c["id_a"], c["id_b"], c["duration"], c["dist_sum"]
+    keep = duration >= tau
+    if not keep.all():  # at the default of one tick every record is kept, uncopied
+        id_a, id_b, duration, dist_sum = id_a[keep], id_b[keep], duration[keep], dist_sum[keep]
     uniq, inv = np.unique(pair_key(id_a, id_b), return_inverse=True)
     n = len(uniq)
-    pair_ids = np.empty((2, n), dtype=np.int64)
-    pair_ids[:, inv] = id_a, id_b  # every record of a row holds the same pair
     return PairTable(
-        id_a=pair_ids[0],
-        id_b=pair_ids[1],
+        id_a=uniq >> 32,  # pair_key's halves
+        id_b=uniq & 0xFFFFFFFF,
         count=np.bincount(inv, minlength=n),
-        duration=np.bincount(inv, weights=c["duration"][keep], minlength=n).astype(np.int64),
-        dist_sum=np.bincount(inv, weights=c["dist_sum"][keep], minlength=n),
+        duration=np.bincount(inv, weights=duration, minlength=n).astype(np.int64),
+        dist_sum=np.bincount(inv, weights=dist_sum, minlength=n),
     )
 
 
@@ -126,8 +130,8 @@ class ContactMatrix:
             and bool(np.array_equal(self.values[self.defined], self.values.T[self.defined]))
         )
 
-    def cell_texts(self, fmt: Callable[[float], str], undefined: str) -> list[list[str]]:
-        """Each cell's text, row by row: ``fmt`` of its value, or ``undefined``.
+    def cell_texts(self, fmt: Callable[[float], str], undefined: str) -> Iterator[list[str]]:
+        """Each cell's text, one row at a time: ``fmt`` of its value, or ``undefined``.
 
         Each distinct value is formatted once: values are told apart by their
         bits, so -0.0 and 0.0 keep their own text.
@@ -135,7 +139,8 @@ class ContactMatrix:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         bits, inv = np.unique(values.view(np.int64), return_inverse=True)
         text = np.array([*map(fmt, bits.view(np.float64).tolist()), undefined], dtype=object)
-        return text[np.where(self.defined, inv.reshape(values.shape), len(bits))].tolist()
+        for row in np.where(self.defined, inv.reshape(values.shape), len(bits)):
+            yield text[row].tolist()
 
     def to_csv(self) -> str:
         """Labels in the first row and column; cells ``%.6g``, undefined ones empty."""
@@ -344,29 +349,42 @@ def hourly_series(
     k = len(type_names)
     keys = [(a, b) for x, a in enumerate(type_names) for b in type_names[x:]]
 
-    c = ledger.columns()
     t_index = {t: x for x, t in enumerate(type_names)}
     column_of = np.array([t_index.get(t, -1) for t in ledger.type_names], dtype=np.int64)
-    xa, xb = column_of[c["type_a"]], column_of[c["type_b"]]
-    missing = (xa < 0) | (xb < 0)
-    if missing.any():
-        i = int(np.argmax(missing))
-        ta, tb = ledger.type_names[c["type_a"][i]], ledger.type_names[c["type_b"][i]]
-        raise ValueError(f"record involves type {ta!r} or {tb!r} missing from populations")
-    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
-    key_of = lo * k - lo * (lo - 1) // 2 + (hi - lo)  # position of (lo, hi) in keys
 
-    # one entry per (record, bucket it overlaps), holding the ticks inside
-    start, last = c["start"], c["last"]
-    first_bucket = start // bucket_length
-    spans = last // bucket_length - first_bucket + 1
-    rec = np.repeat(np.arange(len(start)), spans)
-    bucket = first_bucket[rec] + np.arange(len(rec)) - np.repeat(np.cumsum(spans) - spans, spans)
-    ticks = (np.minimum(last[rec], (bucket + 1) * bucket_length - 1)
-             - np.maximum(start[rec], bucket * bucket_length) + 1)
-    totals = np.zeros((len(keys), n_buckets), dtype=np.int64)
-    np.add.at(totals, (key_of[rec], bucket), ticks)
-    return dict(zip(keys, totals))
+    # The ticks before t put bucket_length ticks in each bucket below
+    # t // bucket_length and t % bucket_length in that bucket.  A record's
+    # ticks [start, end) are that profile at end less the one at start:
+    # full buckets from start's bucket up to end's, as +1/-1 steps summed
+    # along the row, plus end's remainder less start's.  The last column
+    # takes the step of a record that ends on the horizon.
+    width = n_buckets + 1
+    size = len(keys) * width
+    partial = np.zeros(size, dtype=np.int64)
+    steps = np.zeros(size, dtype=np.int64)
+    c = ledger.stored_columns()
+    for lo in range(0, ledger.n_records, SERIES_SLICE):
+        sl = slice(lo, lo + SERIES_SLICE)
+        ta, tb = ledger.types_of(c["id_a"][sl]), ledger.types_of(c["id_b"][sl])
+        xa, xb = column_of[ta], column_of[tb]
+        missing = (xa < 0) | (xb < 0)
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise ValueError(f"record involves type {ledger.type_names[ta[i]]!r} or "
+                             f"{ledger.type_names[tb[i]]!r} missing from populations")
+        x, y = np.minimum(xa, xb), np.maximum(xa, xb)
+        row = (x * k - x * (x - 1) // 2 + (y - x)) * width  # (x, y)'s position in keys
+        start = c["start"][sl]
+        b0, r0 = np.divmod(start, bucket_length)
+        b1, r1 = np.divmod(start + c["duration"][sl], bucket_length)
+        b0 += row
+        b1 += row
+        # integer-valued float sums of fewer than 2^53 ticks are exact
+        partial += (np.bincount(b1, weights=r1, minlength=size)
+                    - np.bincount(b0, weights=r0, minlength=size)).astype(np.int64)
+        steps += np.bincount(b0, minlength=size) - np.bincount(b1, minlength=size)
+    totals = partial.reshape(-1, width) + np.cumsum(steps.reshape(-1, width), axis=1) * bucket_length
+    return dict(zip(keys, totals[:, :n_buckets]))
 
 
 # --- exposure ----------------------------------------------------------------

@@ -433,17 +433,20 @@ class ContactLedger:
         c = self.stored_columns()
         is_open = np.zeros(self._n, dtype=bool)
         is_open[self._open_idx] = True
-        roster = np.fromiter(self._type_of, dtype=np.int64, count=len(self._type_of))
-        types = np.fromiter(self._type_of.values(), dtype=np.int32, count=len(roster))
-        order = np.argsort(roster)
-        roster, types = roster[order], types[order]
         return {
             **c,
-            "type_a": types[np.searchsorted(roster, c["id_a"])],
-            "type_b": types[np.searchsorted(roster, c["id_b"])],
+            "type_a": self.types_of(c["id_a"]),
+            "type_b": self.types_of(c["id_b"]),
             "last": c["start"] + c["duration"] - 1,
             "open": is_open,
         }
+
+    def types_of(self, ids: np.ndarray) -> np.ndarray:
+        """The type index of each agent id, from the roster; every id must be in it."""
+        roster = np.fromiter(self._type_of, dtype=np.int64, count=len(self._type_of))
+        types = np.fromiter(self._type_of.values(), dtype=np.int32, count=len(roster))
+        order = np.argsort(roster)
+        return types[order][np.searchsorted(roster[order], ids)]
 
     def records(self) -> list[ContactRecord]:
         c = self.columns()

@@ -399,7 +399,9 @@ def _prepare_tick(
     cutoff = _agent_cutoff(radii, params)
     skin = _skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
     pairs = np.array(pairs_within(np.arange(len(pos), dtype=np.int64), pos, skin)[:2])
-    pairs = pairs[:, moving[pairs[0]] | moving[pairs[1]]]
+    # C order: boolean indexing returns Fortran order, which makes each
+    # substep's take of pair columns from pair_bins several times slower
+    pairs = np.ascontiguousarray(pairs[:, moving[pairs[0]] | moving[pairs[1]]])
     fb = np.full(len(mv), -1) if forbidden is None else forbidden[mv]
     vmax = params.max_speed_factor * speeds[mv]
     r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))

@@ -64,13 +64,12 @@ def write_frames(fh: IO[str], frames: Iterable[TickFrame], header: bool = True) 
         if len(frame) == 0:
             fh.write(f"{frame.tick},,,,\n")
             continue
-        names = frame.type_names
-        for i in range(len(frame)):
-            x, y = frame.positions[i]
-            fh.write(
-                f"{frame.tick},{frame.ids[i]},{names[frame.type_ids[i]]},"
-                f"{float(x)!r},{float(y)!r}\n"
-            )
+        names, tick = frame.type_names, frame.tick
+        fh.write("".join(
+            f"{tick},{i},{names[t]},{x!r},{y!r}\n"
+            for i, t, (x, y) in zip(frame.ids.tolist(), frame.type_ids.tolist(),
+                                    np.asarray(frame.positions, dtype=np.float64).tolist())
+        ))
 
 
 def check_type_name(name: str) -> str | None:

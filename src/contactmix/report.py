@@ -7,19 +7,22 @@ one machine-readable object.  All files are written deterministically: same
 inputs, same bytes.
 
 ``bundle.json`` holds the bytes ``json.dumps(..., indent=2, sort_keys=True)``
-gives for the bundle's nested dicts and lists, but ``_json_text`` writes it:
-with any ``indent`` the stdlib encodes in pure Python, a few generator calls
-per matrix cell, where ``_json_text`` formats each matrix's distinct values
-once and joins its rows.
+gives for the bundle's nested dicts and lists, but ``_json_chunks`` writes
+it: with any ``indent`` the stdlib encodes in pure Python, a few generator
+calls per matrix cell, where ``_json_chunks`` formats each matrix's distinct
+values once and joins its rows.  The document is streamed to its file, one
+matrix row at a time, so it is never held whole: at 1000 agents it is about
+20 MB of text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .aggregate import (
     ContactMatrix,
@@ -123,44 +126,64 @@ def _float_text(v: float) -> str:
     return float.__repr__(v)
 
 
-def _bracketed(items: list[str], indent: str, open_: str = "[", close: str = "]") -> str:
-    """Items one per line, one level deeper than ``indent``; empty as ``[]`` or ``{}``."""
-    if not items:
-        return open_ + close
-    inner = "\n" + indent + "  "
-    return open_ + inner + ("," + inner).join(items) + "\n" + indent + close
+def _bracketed(parts: Iterable[Iterable[str]], indent: str, open_: str = "[",
+               close: str = "]") -> Iterator[str]:
+    """Each part's pieces, parts one per line one level deeper than
+    ``indent``; no parts as ``[]`` or ``{}``."""
+    line = "\n" + indent + "  "
+    empty = True
+    for part in parts:
+        yield open_ + line if empty else "," + line
+        yield from part
+        empty = False
+    yield open_ + close if empty else "\n" + indent + close
 
 
-def _json_text(obj: Any, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
-    dicts with string keys, lists, tuples and the scalars ``json`` writes; a
-    ``ContactMatrix`` is written as its values grid, rows of cells with
-    ``null`` where undefined.
+def _json_chunks(obj: Any, indent: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)`` in pieces,
+    byte for byte, for dicts with string keys, lists, tuples and the scalars
+    ``json`` writes.  A ``ContactMatrix`` is written as its values grid,
+    rows of cells with ``null`` where undefined, one piece per row, so a
+    matrix is never held as text whole.
 
     ``indent`` is the indentation of the line ``obj`` starts on.
     """
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        return _bracketed([_json_text(v, inner) for v in obj], indent)
-    if isinstance(obj, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
-        return _bracketed(items, indent, "{", "}")
-    if isinstance(obj, ContactMatrix):
+        yield encode_basestring_ascii(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        yield _float_text(obj)
+    elif isinstance(obj, (list, tuple)):
+        yield from _bracketed((_json_chunks(v, indent + "  ") for v in obj), indent)
+    elif isinstance(obj, dict):
+        yield from _bracketed(
+            (chain((encode_basestring_ascii(k) + ": ",), _json_chunks(obj[k], indent + "  "))
+             for k in sorted(obj)),
+            indent, "{", "}",
+        )
+    elif isinstance(obj, ContactMatrix):
+        inner = indent + "  "
+        cell = "\n" + inner + "  "
         rows = obj.cell_texts(_float_text, "null")
-        return _bracketed([_bracketed(row, inner) for row in rows], indent)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        yield from _bracketed(
+            (("[" + cell + ("," + cell).join(row) + "\n" + inner + "]" if row else "[]",)
+             for row in rows),
+            indent,
+        )
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, as ``_json_chunks`` writes it."""
+    return "".join(_json_chunks(obj))
 
 
 def write_bundle(
@@ -188,4 +211,6 @@ def write_bundle(
         json.dumps(dict(manifest), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     bundle = _assemble(matrices, chunks, prob, series, manifest, bucket_length)
-    (out / "bundle.json").write_text(_json_text(bundle) + "\n", encoding="utf-8")
+    with (out / "bundle.json").open("w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(bundle))
+        fh.write("\n")

@@ -376,7 +376,8 @@ def _parse_map(obj: Any) -> EnvironmentMap:
             anchor = tuple(map(_finite, a)) if isinstance(a, list) and len(a) == 2 else (None,)
             if None in anchor:
                 _fail(f"{where}: anchor must be an [x_m, y_m] pair of finite numbers")
-            acell = (int(math.floor(anchor[0] / cs)), int(math.floor(anchor[1] / cs)))
+            q = (anchor[0] / cs, anchor[1] / cs)  # infinite far outside the map
+            acell = tuple(map(math.floor, q)) if all(map(math.isfinite, q)) else None
             if acell not in cells:
                 _fail(f"{where}: anchor {list(a)} does not fall inside the location cells")
         else:

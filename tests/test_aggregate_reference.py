@@ -8,12 +8,15 @@ series and CSV must match these loops exactly, not approximately.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from contactmix import aggregate
 from contactmix.aggregate import (
     METRICS,
     ContactMatrix,
@@ -168,6 +171,41 @@ def ref_hourly_series(ledger, bucket_length, populations):
     return series
 
 
+def add_at_hourly_series(ledger, bucket_length, populations):
+    """``hourly_series`` as it was before it summed records in slices: one
+    ``np.add.at`` over an entry per (record, bucket the record overlaps),
+    with every record's derived columns built at once."""
+    type_names = list(populations)
+    first = ledger.first_tick if ledger.first_tick is not None else 0
+    horizon = ledger.horizon if ledger.horizon is not None else 0
+    n_buckets = max(1, -(-(first + horizon) // bucket_length))
+    k = len(type_names)
+    keys = [(a, b) for x, a in enumerate(type_names) for b in type_names[x:]]
+
+    c = ledger.columns()
+    t_index = {t: x for x, t in enumerate(type_names)}
+    column_of = np.array([t_index.get(t, -1) for t in ledger.type_names], dtype=np.int64)
+    xa, xb = column_of[c["type_a"]], column_of[c["type_b"]]
+    missing = (xa < 0) | (xb < 0)
+    if missing.any():
+        i = int(np.argmax(missing))
+        ta, tb = ledger.type_names[c["type_a"][i]], ledger.type_names[c["type_b"][i]]
+        raise ValueError(f"record involves type {ta!r} or {tb!r} missing from populations")
+    lo, hi = np.minimum(xa, xb), np.maximum(xa, xb)
+    key_of = lo * k - lo * (lo - 1) // 2 + (hi - lo)
+
+    start, last = c["start"], c["last"]
+    first_bucket = start // bucket_length
+    spans = last // bucket_length - first_bucket + 1
+    rec = np.repeat(np.arange(len(start)), spans)
+    bucket = first_bucket[rec] + np.arange(len(rec)) - np.repeat(np.cumsum(spans) - spans, spans)
+    ticks = (np.minimum(last[rec], (bucket + 1) * bucket_length - 1)
+             - np.maximum(start[rec], bucket * bucket_length) + 1)
+    totals = np.zeros((len(keys), n_buckets), dtype=np.int64)
+    np.add.at(totals, (key_of[rec], bucket), ticks)
+    return dict(zip(keys, totals))
+
+
 def ref_to_csv(m: ContactMatrix) -> str:
     lines = ["," + ",".join(m.col_labels)]
     for i, label in enumerate(m.row_labels):
@@ -301,6 +339,112 @@ def test_csv_and_json_of_special_values_match_reference():
     assert repr(got) == repr(want)
     empty = ContactMatrix("agent", "count", [], [], np.zeros((0, 0)), np.zeros((0, 0), bool))
     assert empty.to_csv() == ref_to_csv(empty) == ",\n"
+
+
+# --- the hourly series in slices against the np.add.at version ---------------------------
+
+
+def lingering_ledger(n_agents, n_types, n_ticks, first, tail, seed):
+    """Agents drifting slowly in a small box, so contacts last many ticks,
+    and leaving now and then, so a pair also has short records.  Ticks run
+    from ``first``; the ledger is finalized ``tail`` ticks after the last."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(60, size=n_agents, replace=False).astype(np.int64)
+    types = rng.integers(0, n_types, size=n_agents).astype(np.int32)
+    pos = rng.uniform(0.0, 4.0, size=(n_agents, 2))
+    names = list(TYPE_NAMES[:n_types])
+    led = ContactLedger(ContactConfig(effective_radius=2.0))
+    for t in range(first, first + n_ticks):
+        pos += rng.uniform(-0.2, 0.2, size=pos.shape)
+        here = np.nonzero(rng.random(n_agents) < 0.95)[0]
+        led.observe(TickFrame(t, ids[here], types[here], pos[here].copy(), names))
+    led.finalize(first + n_ticks - 1 + tail)
+    return led
+
+
+def assert_series_match(led, bucket_length, populations, slice_size):
+    """``hourly_series`` with ``slice_size`` records per slice gives what the
+    ``np.add.at`` version gives: the same keys, int64 totals, or the same error."""
+    try:
+        want = add_at_hourly_series(led, bucket_length, populations)
+    except ValueError as e:
+        with mock.patch.object(aggregate, "SERIES_SLICE", slice_size), \
+                pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            hourly_series(led, bucket_length, populations)
+        return
+    with mock.patch.object(aggregate, "SERIES_SLICE", slice_size):
+        got = hourly_series(led, bucket_length, populations)
+    assert list(got) == list(want)
+    for key, vec in want.items():
+        assert got[key].dtype == np.int64
+        assert np.array_equal(got[key], vec), key
+
+
+@given(
+    n_agents=st.integers(0, 10),
+    n_types=st.integers(1, 4),
+    n_ticks=st.integers(1, 60),
+    first=st.integers(0, 12),
+    tail=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    bucket_length=st.integers(1, 13),
+    slice_size=st.sampled_from([1, 2, 3, 7, 64, aggregate.SERIES_SLICE]),
+    drop=st.integers(0, 4),  # the type left out of populations; 4 keeps them all
+)
+@example(n_agents=0, n_types=1, n_ticks=1, first=0, tail=0, seed=0, bucket_length=1,
+         slice_size=1, drop=4)  # no records
+@settings(max_examples=150, deadline=None)
+def test_hourly_series_matches_the_add_at_version(n_agents, n_types, n_ticks, first, tail, seed,
+                                                  bucket_length, slice_size, drop):
+    led = lingering_ledger(n_agents, n_types, n_ticks, first, tail, seed)
+    populations = {t: 1 for x, t in enumerate(TYPE_NAMES[:n_types]) if x != drop}
+    assert_series_match(led, bucket_length, {**populations, "never seen": 0}, slice_size)
+
+
+def test_hourly_series_cases_the_generator_must_reach():
+    """Records inside one bucket and across 1 to many bucket edges, records
+    that end on the horizon, and slices of 1 record up to all of them."""
+    led = lingering_ledger(9, 3, 80, first=5, tail=0, seed=3)
+    c = led.stored_columns()
+    end = c["start"] + c["duration"]
+    for bucket_length in (1, 4, 17, 85, 200):
+        edges = (end - 1) // bucket_length - c["start"] // bucket_length
+        assert (edges == 0).any() or bucket_length == 1
+        populations = led.observed_populations()
+        for slice_size in (1, 2, 5, len(end) - 1, len(end)):
+            assert_series_match(led, bucket_length, populations, slice_size)
+    assert edges.max() == 0 and (end == 85).any() and led.n_records > 20
+    assert (((end - 1) // 4 - c["start"] // 4) >= 5).any()
+
+
+def test_hourly_series_names_the_first_record_with_a_missing_type_in_any_slice():
+    """Agent 7, the one "t2", comes within range of the others at tick 6 only:
+    its records, (1, 7) first, follow three "t0"/"t1" records, past the first slices."""
+    led = ContactLedger(ContactConfig(effective_radius=2.0))
+    ids, types = np.array([3, 5, 1, 7]), np.array([0, 0, 1, 2], dtype=np.int32)
+    for t in range(12):
+        x7 = 1.5 if t >= 6 else 40.0
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [x7, 0.5]])
+        led.observe(TickFrame(t, ids, types, pos, ["t0", "t1", "t2"]))
+    led.finalize(11)
+    assert led.n_records == 6
+    populations = {"t0": 2, "t1": 1}
+    with pytest.raises(ValueError, match="^record involves type 't1' or 't2' missing"):
+        add_at_hourly_series(led, 4, populations)
+    for slice_size in (1, 2, 3, 4, 6):
+        assert_series_match(led, 4, populations, slice_size)
+
+
+def test_hourly_series_of_a_ledger_without_records():
+    led = ContactLedger(ContactConfig(effective_radius=1.0))
+    far = np.array([[0.0, 0.0], [50.0, 0.0]])
+    for t in range(7):
+        led.observe(TickFrame(t, np.array([4, 9]), np.array([0, 1]), far, ["a", "b"]))
+    led.finalize(11)
+    assert led.n_records == 0
+    for slice_size in (1, aggregate.SERIES_SLICE):
+        assert_series_match(led, 5, {"a": 1, "b": 1, "c": 2}, slice_size)
+        assert_series_match(led, 5, {}, slice_size)
 
 
 # --- the errors the builders raise ---------------------------------------------------

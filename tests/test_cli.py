@@ -421,6 +421,22 @@ def test_non_finite_scenario_number_exits_1_naming_the_key(field, value, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("anchor", [[1e10, 1e10], [-1e10, 1.5], [1.5, 1e300]])
+def test_anchor_beyond_the_float_range_in_cells_exits_1(anchor, tmp_path, capsys):
+    """Finite numbers whose cell index (anchor / cell_size_m) is infinite."""
+    doc = clinic_doc()
+    doc["map"]["cell_size_m"] = 1e-300
+    doc["map"]["locations"]["desk"]["anchor"] = anchor
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 5, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == (f"error: map.locations['desk']: anchor {anchor} "
+                   "does not fall inside the location cells\n"), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_scenario_file_exits_3(tmp_path):
     code = run_cli("run", "--scenario", tmp_path / "nope.json", "--ticks", 5,
                    "--out", tmp_path / "o")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,9 @@ from contactmix.aggregate import (
     hourly_series,
     transmission_probability,
 )
-from contactmix.report import _json_text, build_matrices, write_bundle
+from contactmix.contacts import ContactConfig, ContactLedger
+from contactmix.frames import TickFrame
+from contactmix.report import _json_chunks, _json_text, build_matrices, write_bundle
 
 from test_aggregate_reference import TYPE_NAMES, random_ledger
 
@@ -127,6 +130,19 @@ def test_matrix_grid_is_stdlib_text_of_its_values(m, depth):
     assert _json_text(tree) == stdlib_text(want)
 
 
+def test_a_matrix_is_streamed_one_row_per_piece():
+    """``write_bundle`` never holds a matrix's text whole: ``_json_chunks``
+    yields a values grid one row per piece."""
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, 5, size=(30, 30)).astype(np.float64)
+    m = ContactMatrix("agent", "count", [f"r{i}" for i in range(30)],
+                      [f"c{j}" for j in range(30)], values, ~np.eye(30, dtype=bool))
+    pieces = list(_json_chunks({"a": [m, m], "b": m}))
+    assert "".join(pieces) == stdlib_text({"a": [m.to_json_obj()["values"]] * 2,
+                                           "b": m.to_json_obj()["values"]})
+    assert max(piece.count(",") for piece in pieces) == 29  # the commas of one row
+
+
 def test_grid_keeps_negative_zero_and_null():
     values = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 2.5]])
     defined = np.array([[True, True, True], [True, False, True]])
@@ -178,3 +194,39 @@ def test_write_bundle_matches_reference_with_a_singleton_type():
     populations = led.observed_populations()
     assert populations == {"t0": 3, "t1": 3, "t2": 1}
     assert_bundle_matches(led, {**populations, "zz": 0})
+
+
+# --- memory -----------------------------------------------------------------------------
+
+
+def churning_ledger(n_agents=40, n_ticks=1200, side=10.0, seed=0):
+    """Agents placed anew every tick: most contacts last one tick, so the
+    ledger holds about 88k records for few agents and small matrices."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(n_agents, dtype=np.int64)
+    types = rng.integers(0, 4, size=n_agents).astype(np.int32)
+    led = ContactLedger(ContactConfig(effective_radius=2.0))
+    for t in range(n_ticks):
+        led.observe(TickFrame(t, ids, types, rng.uniform(0.0, side, (n_agents, 2)), list(TYPE_NAMES)))
+    led.finalize(n_ticks - 1)
+    return led
+
+
+def test_write_bundle_holds_less_than_twice_the_ledger(tmp_path):
+    """The report's temporaries do not scale with records times buckets, and
+    ``bundle.json`` is never held whole: ``write_bundle`` allocates less
+    than twice the ledger's own five columns above what it started with.
+    (Summing an entry per record and bucket, copying the kept columns and
+    rendering the whole document once took about three times.)"""
+    led = churning_ledger()
+    assert led.n_records >= 50_000
+    stored = sum(col.nbytes for col in led.stored_columns().values())
+    populations = led.observed_populations()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        write_bundle(tmp_path, led, populations, {"command": "test"}, 0.1, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * stored, (peak - start, stored)
