@@ -34,18 +34,31 @@ every location, -2 where blocked and on a ring around the map.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
 
-One kernel, ``_run_substeps``, runs all the substeps of a tick.  It keeps
-the moving rows' positions, velocities and targets as arrays for the tick,
-advances waypoints on them, writes the moving rows' positions back once per
-substep for the pair offsets, and the rest once at the end.  Each moving
-row's cell code carries over from one substep's containment to the next: a
-step ends at its candidate point, a slide of it or its start, and the code
-of each was computed on the way.  Containment is left out for the whole tick
-when no moving agent is gated and no cell with code < -1 lies within an
-agent's widened tick travel of where it starts (one lookup per agent in an
-integral image of those cells, built once per map).  Every step of such a
-tick then ends in an allowed cell, so containment would return it as it is.
-``social_force_step`` is the same kernel run for one substep.
+One kernel call runs all the substeps of a tick, and there are two kernels
+with the same bytes.  ``_run_substeps`` keeps the moving rows' positions,
+velocities and targets as arrays for the tick, advances waypoints on them,
+writes the moving rows' positions back once per substep for the pair
+offsets, and the rest once at the end.  ``_run_substeps_small`` keeps them
+as Python floats instead: on a tick of a few rows, numpy's per-call cost,
+not arithmetic, is what a substep pays.  ``Simulation._physics`` runs a
+tick on the small kernel when its moving rows, skin pairs and listed walls
+number at most ``SMALL_TICK_MAX``, and on the array kernel otherwise.  The
+small kernel does each array operation as the same IEEE operation on
+floats, in the same order, with ``math.sqrt`` for ``np.sqrt`` (both
+correctly rounded).  ``exp`` and ``hypot`` stay numpy calls on float64
+arrays, one ``hypot`` for the relaxation and wall offsets, one ``exp`` for
+the pair and wall forces and one ``hypot`` for the speed cap per substep:
+``math.exp`` and ``math.hypot`` are other functions, which may round
+differently.  Both kernels move an agent's waypoints with
+``_Agent.next_target``.  In both, each moving row's cell code carries over
+from one substep's containment to the next: a step ends at its candidate
+point, a slide of it or its start, and the code of each was computed on the
+way.  Containment is left out for the whole tick when no moving agent is
+gated and no cell with code < -1 lies within an agent's widened tick travel
+of where it starts (one lookup per agent in an integral image of those
+cells, built once per map).  Every step of such a tick then ends in an
+allowed cell, so containment would return it as it is.
+``social_force_step`` is the array kernel run for one substep.
 
 Capacity is slot accounting, recorded once: each location maps the agents
 holding a slot there to their berths.  A grant takes the smallest berth not
@@ -99,6 +112,13 @@ _XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
 _BOX = np.array([[-1.0], [1.0]])  # a box's low corner, then its high one
 _BOX_INDEX = np.array([[1], [2]])  # integral image index: of the low cell, one past the high
 WAYPOINT_THRESHOLD = 0.5  # m: a waypoint this close counts as reached
+# A tick with at most this many moving rows + skin pairs + listed walls runs
+# in Python floats (_run_substeps_small), a larger one on arrays.  On the
+# crowd workload's first 60 ticks (seeds 1 to 3, 10 substeps) the small
+# kernel took 0.37 of the array kernel's time at sizes up to 32, 0.80 at
+# 33-64, 1.11 at 65-96, 1.27 at 97-128 and 1.89 at 193-256 (medians); every
+# clinic tick on seed 1 but one is at most 64.
+SMALL_TICK_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -518,6 +538,169 @@ def _run_substeps(
     tgt.put(bins, tm)
 
 
+def _cell_code_at(env: EnvironmentMap, x: float, y: float) -> int:
+    """``_cell_code`` of one point (x, y), in Python ints."""
+    codes = env.cell_codes
+    i = min(max(math.floor(x / env.cell_size) + 1, 0), codes.shape[0] - 1)
+    j = min(max(math.floor(y / env.cell_size) + 1, 0), codes.shape[1] - 1)
+    return codes.item(i, j)
+
+
+def _contain_point(
+    env: EnvironmentMap, x: float, y: float, code: int, cx: float, cy: float, vx: float,
+    vy: float, gate: int,
+) -> tuple[float, float, float, float, int]:
+    """``_contain`` for one step from (x, y), of cell code ``code``, to
+    (cx, cy) at velocity (vx, vy): returns the step's end, its velocity and
+    the end's cell code."""
+    end = _cell_code_at(env, cx, cy)
+    if code == gate:  # standing inside its gated location, it may keep moving
+        gate = _NO_GATE
+    if end != gate and end > -2:
+        return cx, cy, vx, vy, end
+    slid_x, slid_y = _cell_code_at(env, cx, y), _cell_code_at(env, x, cy)
+    ok_x = slid_x != gate and slid_x > -2
+    ok_y = slid_y != gate and slid_y > -2
+    if not ok_x:
+        cx, vx = x, 0.0
+    if ok_x or not ok_y:
+        cy, vy = y, 0.0
+    return cx, cy, vx, vy, slid_x if ok_x else slid_y if ok_y else code
+
+
+def _run_substeps_small(
+    t: _Tick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float, substeps: int,
+    params: ForceParameters,
+    steer: Callable[[int, float, float], tuple[float, float] | None] | None = None,
+) -> None:
+    """``_run_substeps`` on Python floats, for a tick with few moving rows,
+    pairs and walls: the same bytes at a fraction of the numpy calls.
+
+    Each substep, ``steer(i, x, y)``, if given, returns the new target of
+    moving row ``i`` standing within ``WAYPOINT_THRESHOLD`` of its target at
+    (x, y), or None to keep it.  Every operation is the array kernel's, in
+    its order: ``x * x`` where that squares an array, ``math.sqrt`` for
+    ``np.sqrt`` and sums in ``np.bincount``'s input order.  ``exp`` and
+    ``hypot`` stay numpy calls, one each on a float64 array per substep
+    (and one ``hypot`` for the speed cap), since ``math.exp`` and
+    ``math.hypot`` may round differently.
+    """
+    m = len(t.mv)
+    # X, Y: the moving rows, then the frozen pair ends; pairs index them
+    X, Y = pos.take(t.mv, 0).T.tolist()
+    vx, vy = vel.take(t.mv, 0).T.tolist()
+    tx, ty = tgt.take(t.mv, 0).T.tolist()
+    rows, (pa, pb) = t.mv.tolist(), t.pairs.tolist()
+    slot = dict(zip(rows, range(m)))
+    for r in pa + pb:
+        if r not in slot:
+            slot[r] = len(X)
+            x, y = pos[r].tolist()
+            X.append(x)
+            Y.append(y)
+    pairs = [(slot[a], slot[b], a, b, r) for a, b, r in zip(pa, pb, t.pair_r.tolist())]
+    walls = [[] for _ in rows]  # per moving row: radius, then centre, low and high x, then y
+    for i, *wall in zip(t.wall_agent.tolist(), t.wall_r.tolist(),
+                        *t.walls.transpose(2, 0, 1).reshape(6, len(t.wall_agent)).tolist()):
+        walls[i].append(wall)
+    speeds, vmax, gate = t.speeds.tolist(), t.vmax.tolist(), t.gate.tolist()
+    env, tau, c2, r2 = t.env, params.relaxation_time, t.cutoff * t.cutoff, t.r2
+    rep_s, rep_r = params.repulsion_strength, params.repulsion_range
+    obs_s, obs_r = params.obstacle_strength, params.obstacle_range
+    thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
+    code = None if env is None else [_cell_code_at(env, X[i], Y[i]) for i in range(m)]
+    moving = range(m)
+    for _ in range(substeps):
+        if steer is not None:
+            for i in moving:
+                ox, oy = X[i] - tx[i], Y[i] - ty[i]
+                if ox * ox + oy * oy <= thr2:
+                    target = steer(i, X[i], Y[i])
+                    if target is not None:
+                        tx[i], ty[i] = target
+        # hypot arguments: each row's offset to its target, then each near wall's
+        hx = [tx[i] - X[i] for i in moving]
+        hy = [ty[i] - Y[i] for i in moving]
+        near = []  # (a, b, a's row, b's row, offset, distance) within the cutoff, in pair order
+        args = []  # exp arguments: of the near pairs, then of the near walls
+        for a, b, ra, rb, r in pairs:
+            ox, oy = X[a] - X[b], Y[a] - Y[b]
+            d2 = ox * ox + oy * oy
+            if d2 <= c2:
+                d = math.sqrt(d2)
+                near.append((a, b, ra, rb, ox, oy, d))
+                args.append((r - d) / rep_r)
+        wall_near = []  # (row, radius) of each wall within the cutoff, in (row, wall) order
+        for i in moving:
+            px, py = X[i], Y[i]
+            for r, cx, lx, ux, cy, ly, uy in walls[i]:
+                ox, oy = px - cx, py - cy
+                if ox * ox + oy * oy <= r2:  # then the offset from the wall's closest point
+                    hx.append(px - (lx if px < lx else ux if px > ux else px))
+                    hy.append(py - (ly if py < ly else uy if py > uy else py))
+                    wall_near.append((i, r))
+        h = np.hypot(np.array(hx), np.array(hy)).tolist()
+        for k, (i, r) in enumerate(wall_near):
+            args.append((r - h[m + k]) / obs_r)
+        e = np.exp(np.array(args)).tolist() if args else args
+        # relaxation, summed from +0.0 as bincount does
+        ax, ay = [], []
+        for i in moving:
+            dist = h[i]
+            if dist > _EPS:
+                ex, ey = hx[i] / dist, hy[i] / dist
+            else:
+                ex = ey = 0.0
+            ax.append(0.0 + (speeds[i] * ex - vx[i]) / tau)
+            ay.append(0.0 + (speeds[i] * ey - vy[i]) / tau)
+        if near:
+            fs = []
+            for (a, b, ra, rb, ox, oy, d), ek in zip(near, e):
+                if d > _EPS:
+                    ux, uy = ox / d, oy / d
+                else:  # coincident agents
+                    ux, uy = _pair_direction(ra, rb)
+                mag = rep_s * ek
+                fs.append((a, b, mag * ux, mag * uy))
+            for a, _, fx, fy in fs:  # +f on each a, then -f on each b, in pair order
+                if a < m:
+                    ax[a] += fx
+                    ay[a] += fy
+            for _, b, fx, fy in fs:
+                if b < m:
+                    ax[b] += -fx
+                    ay[b] += -fy
+        if wall_near:
+            wx, wy = [0.0] * m, [0.0] * m
+            for k, (i, _) in enumerate(wall_near):
+                d = h[m + k]
+                if d > _EPS:  # agents never sit inside a blocked cell
+                    scale = obs_s * e[len(near) + k] / d
+                    wx[i] += scale * hx[m + k]
+                    wy[i] += scale * hy[m + k]
+            for i in moving:
+                ax[i] += wx[i]
+                ay[i] += wy[i]
+        for i in moving:
+            vx[i] += dt * ax[i]
+            vy[i] += dt * ay[i]
+        speed = np.hypot(np.array(vx), np.array(vy)).tolist()
+        for i in moving:
+            s = speed[i]
+            if s > vmax[i]:
+                cap = vmax[i] / s
+                vx[i] *= cap
+                vy[i] *= cap
+            cx, cy = X[i] + dt * vx[i], Y[i] + dt * vy[i]
+            if code is not None:
+                cx, cy, vx[i], vy[i], code[i] = _contain_point(
+                    env, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
+            X[i], Y[i] = cx, cy
+    pos.put(t.bins, np.array((X[:m], Y[:m])).T)
+    vel.put(t.bins, np.array((vx, vy)).T)
+    tgt.put(t.bins, np.array((tx, ty)).T)
+
+
 def social_force_step(
     positions: np.ndarray, velocities: np.ndarray, targets: np.ndarray,
     desired_speeds: np.ndarray, radii: np.ndarray, dt: float, params: ForceParameters,
@@ -615,6 +798,24 @@ class _Agent:
         self.waypoints: list[tuple[float, float]] = []
         self.wp_i = 0
         self.pending_loc: str | None = None
+
+    def next_target(self, x: float, y: float) -> tuple[float, float] | None:
+        """The target of this moving agent standing at (x, y), near its target:
+        the first waypoint farther than ``WAYPOINT_THRESHOLD``, or (x, y) to
+        brake once the last one is that close.  None without a route."""
+        if not self.waypoints:
+            return None
+        thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
+        last = len(self.waypoints) - 1
+        while self.wp_i < last:
+            wx, wy = self.waypoints[self.wp_i]
+            if (x - wx) ** 2 + (y - wy) ** 2 > thr2:
+                break
+            self.wp_i += 1
+        wx, wy = self.waypoints[self.wp_i]
+        if self.wp_i == last and (x - wx) ** 2 + (y - wy) ** 2 <= thr2:
+            return x, y  # close enough: brake and let the workflow take over
+        return wx, wy
 
 
 class _LocationState:
@@ -924,20 +1125,9 @@ class Simulation:
         thr = WAYPOINT_THRESHOLD
         off = pm - tm
         for j in (off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr).nonzero()[0]:
-            ag = self.agents[agents[j]]
-            if not ag.waypoints:
-                continue
-            while ag.wp_i < len(ag.waypoints) - 1:
-                wx, wy = ag.waypoints[ag.wp_i]
-                if (pm[j, 0] - wx) ** 2 + (pm[j, 1] - wy) ** 2 > thr * thr:
-                    break
-                ag.wp_i += 1
-            wx, wy = ag.waypoints[ag.wp_i]
-            last = ag.wp_i == len(ag.waypoints) - 1
-            if last and (pm[j, 0] - wx) ** 2 + (pm[j, 1] - wy) ** 2 <= thr * thr:
-                tm[j] = pm[j]  # close enough: brake and let the workflow take over
-            else:
-                tm[j] = (wx, wy)
+            target = self.agents[agents[j]].next_target(pm[j, 0], pm[j, 1])
+            if target is not None:
+                tm[j] = target
 
     def _physics(self) -> None:
         g_idx = np.nonzero(self.present)[0]
@@ -957,9 +1147,14 @@ class Simulation:
         # one neighbour search and one wall gather per tick; substeps filter them
         tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, fb, self.env,
                              self._obstacles, self.tick_length, substeps)
-        agents = g_idx[tick.mv]
-        _run_substeps(tick, pos, vel, tgt, dt, substeps, self.config.forces,
-                      lambda pm, tm: self._advance_waypoints(agents, pm, tm))
+        if len(tick.mv) + tick.pairs.shape[1] + len(tick.wall_agent) <= SMALL_TICK_MAX:
+            movers = [here[i] for i in tick.mv.tolist()]
+            _run_substeps_small(tick, pos, vel, tgt, dt, substeps, self.config.forces,
+                                lambda i, x, y: movers[i].next_target(x, y))
+        else:
+            agents = g_idx[tick.mv]
+            _run_substeps(tick, pos, vel, tgt, dt, substeps, self.config.forces,
+                          lambda pm, tm: self._advance_waypoints(agents, pm, tm))
         self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
 
     # -- main loop ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 A scenario is a JSON document with three top-level keys:
 
 ``map``
-    ``cell_size_m`` (edge length of a grid cell, meters), ``width`` and
+    ``cell_size_m`` (edge length of a grid cell, meters; small enough that
+    squared distances across the map stay finite), ``width`` and
     ``height`` (cell counts), ``blocked`` (list of ``[x, y]`` unwalkable
     cells) and ``locations`` (name -> ``{cells, capacity, anchor}``).
     ``capacity`` limits simultaneous occupants (``null`` = unlimited) and
@@ -337,6 +338,14 @@ def _parse_map(obj: Any) -> EnvironmentMap:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             _fail(f"map.{k} must be a positive integer")
         dims[k] = v
+    # the engine squares offsets across the map, its wall ring included
+    try:
+        extent = (max(dims.values()) + 2) * cs
+    except OverflowError:  # more cells than a float can count
+        extent = math.inf
+    if not math.isfinite(2.0 * extent * extent):
+        _fail(f"map.cell_size_m {cs!r} is too large for a {dims['width']}x{dims['height']} "
+              "map: squared distances across it overflow")
     blocked = set()
     for i, raw in enumerate(obj.get("blocked", [])):
         blocked.add(_parse_cell(raw, f"map.blocked[{i}]", dims))

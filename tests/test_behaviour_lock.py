@@ -27,7 +27,9 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from contactmix import engine
 from contactmix.cli import EXIT_OK, main
 from contactmix.contacts import BRUTE_FORCE_MAX_N, ContactConfig, ContactLedger
 from contactmix.engine import SimConfig, run
@@ -264,6 +266,30 @@ def test_ingest_bundle_is_locked(tmp_path):
 
 
 def test_crowd_bundle_is_locked(tmp_path):
+    assert crowd_digests(tmp_path) == CROWD_DIGESTS
+
+
+# The engine runs a tick in Python floats when it is small (``SMALL_TICK_MAX``)
+# and on arrays otherwise; each kernel alone must give the pinned bytes.
+KERNELS = pytest.mark.parametrize("small_tick_max", [0, 10**9], ids=["array", "small"])
+
+
+@KERNELS
+def test_clinic_bundle_and_frames_are_locked_under_each_kernel(small_tick_max, tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setattr(engine, "SMALL_TICK_MAX", small_tick_max)
+    assert clinic_digests(tmp_path) == CLINIC_DIGESTS
+
+
+@KERNELS
+def test_mixing_ledger_columns_are_locked_under_each_kernel(small_tick_max, monkeypatch):
+    monkeypatch.setattr(engine, "SMALL_TICK_MAX", small_tick_max)
+    assert mixing_digests() == MIXING_DIGESTS
+
+
+@KERNELS
+def test_crowd_bundle_is_locked_under_each_kernel(small_tick_max, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "SMALL_TICK_MAX", small_tick_max)
     assert crowd_digests(tmp_path) == CROWD_DIGESTS
 
 

@@ -437,6 +437,32 @@ def test_anchor_beyond_the_float_range_in_cells_exits_1(anchor, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cell_size", [1e307, 1e300, 1e160])
+def test_cell_size_whose_squared_map_extent_overflows_exits_1(cell_size, tmp_path, capsys):
+    """Finite cell sizes too large for the engine's squared distances: once an
+    OverflowError traceback (1e307), otherwise numpy overflow warnings."""
+    doc = clinic_doc()
+    doc["map"]["cell_size_m"] = cell_size
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 60, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: map.cell_size_m "), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_large_cell_size_that_fits_runs_without_a_warning(tmp_path):
+    """Tier-1 turns RuntimeWarning into an error, so a numpy overflow fails this."""
+    doc = clinic_doc()
+    doc["map"]["cell_size_m"] = 1e100
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 60, "--export-frames",
+                   "--out", tmp_path / "o")
+    assert code == EXIT_OK
+
+
 def test_missing_scenario_file_exits_3(tmp_path):
     code = run_cli("run", "--scenario", tmp_path / "nope.json", "--ticks", 5,
                    "--out", tmp_path / "o")

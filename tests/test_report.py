@@ -23,6 +23,7 @@ from contactmix.aggregate import (
     ContactMatrix,
     effective_chunks,
     hourly_series,
+    pair_summaries,
     transmission_probability,
 )
 from contactmix.contacts import ContactConfig, ContactLedger
@@ -230,3 +231,20 @@ def test_write_bundle_holds_less_than_twice_the_ledger(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - start < 2 * stored, (peak - start, stored)
+
+
+def test_pair_summaries_holds_less_than_three_quarters_of_the_ledger():
+    """Grouping records by pair holds about 24 bytes per record at once, under
+    the ledger's own 40 (five 8-byte columns); ``np.unique`` with its
+    inverse held about 50."""
+    led = churning_ledger()
+    stored = sum(col.nbytes for col in led.stored_columns().values())
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        table = pair_summaries(led)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.count.sum() == led.n_records
+    assert peak - start < 0.75 * stored, (peak - start, stored)
