@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from .contacts import ContactConfig, ContactLedger, FrameError, pairs_within_frames
-from .engine import SimConfig, SimulationFault, run
+from .engine import SimConfig, Simulation, SimulationFault
 from .frames import (
     ROWS, TickFrame, TraceFormatError, check_type_name, read_frames, write_frames,
 )
@@ -135,8 +135,8 @@ def _write_outputs(
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    tick_length = args.tick_length_s if args.tick_length_s is not None else scenario.tick_length
-    config = SimConfig(ticks=args.ticks, seed=args.seed, tick_length=tick_length)
+    sim = Simulation(scenario, SimConfig(ticks=args.ticks, seed=args.seed,
+                                         tick_length=args.tick_length_s))
     ledger = _ledger(args)
 
     out = Path(args.out)
@@ -147,12 +147,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             frames_fh.write("tick,agent_id,type_name,x_m,y_m\n")
         detection = _GroupedDetection(ledger, frames_fh)
         try:
-            summary = run(scenario, config, detection.add)
+            summary = sim.run(detection.add)
         finally:
             detection.flush()  # the frames made before a fault still reach frames.csv
 
     ledger.finalize(args.ticks - 1)
-    return _write_outputs(args, ledger, scenario.populations, tick_length, {
+    return _write_outputs(args, ledger, scenario.populations, sim.tick_length, {
         "command": "run",
         "scenario": args.scenario,
         "seed": args.seed,

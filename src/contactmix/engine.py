@@ -49,15 +49,15 @@ correctly rounded).  ``exp`` and ``hypot`` stay numpy calls on float64
 arrays, one ``hypot`` for the relaxation and wall offsets, one ``exp`` for
 the pair and wall forces and one ``hypot`` for the speed cap per substep:
 ``math.exp`` and ``math.hypot`` are other functions, which may round
-differently.  Both kernels move an agent's waypoints with
-``_Agent.next_target``.  In both, each moving row's cell code carries over
-from one substep's containment to the next: a step ends at its candidate
-point, a slide of it or its start, and the code of each was computed on the
-way.  Containment is left out for the whole tick when no moving agent is
-gated and no cell with code < -1 lies within an agent's widened tick travel
-of where it starts (one lookup per agent in an integral image of those
-cells, built once per map).  Every step of such a tick then ends in an
-allowed cell, so containment would return it as it is.
+differently.  Both kernels take the agent of each moving row and move its
+waypoints with ``_Agent.next_target``.  In both, each moving row's cell code
+carries over from one substep's containment to the next: a step ends at its
+candidate point, a slide of it or its start, and the code of each was
+computed on the way.  Containment is left out for the whole tick when no
+moving agent is gated and no cell with code < -1 lies within an agent's
+widened tick travel of where it starts (one lookup per agent in an integral
+image of those cells, built once per map).  Every step of such a tick then
+ends in an allowed cell, so containment would return it as it is.
 ``social_force_step`` is the array kernel run for one substep.
 
 Capacity is slot accounting, recorded once: each location maps the agents
@@ -66,14 +66,14 @@ in use; berths map to points (the anchor first, then the other cells'
 centres, then deterministic offsets kept inside the base cell), so
 simultaneous occupants never share an exact position.  An agent heading to a
 full location keeps the location's cells off-limits for itself and piles up
-at the boundary until a slot frees; once per tick, the physics derives that
-gate from each agent's pending request, and who moves from its phase.
-Agents passing through on the way to somewhere else are not gated.
-Queueing agents keep their slot while they wait for the next one, and an
-agent whose workflow ends without ``depart`` stays ``idle`` and keeps its
-slots for good.  When waiters can never be granted, because holders wait on
-each other in a cycle or on idle agents, the run stops with a
-``SimulationFault`` naming them.
+at the boundary until a slot frees; once per tick, the physics reads that
+gate from the locations' waiter lists (an agent waits for at most one slot)
+and who moves from ``Simulation.phase``.  Agents passing through on the way
+to somewhere else are not gated.  Queueing agents keep their slot while they
+wait for the next one, and an agent whose workflow ends without ``depart``
+stays ``IDLE`` and keeps its slots for good.  When waiters can never be
+granted, because holders wait on each other in a cycle or on idle agents,
+the run stops with a ``SimulationFault`` naming them.
 
 Everything is deterministic for a given (scenario, config): per-agent random
 streams are seeded from (seed, agent index), and all iteration orders are
@@ -112,6 +112,9 @@ _XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
 _BOX = np.array([[-1.0], [1.0]])  # a box's low corner, then its high one
 _BOX_INDEX = np.array([[1], [2]])  # integral image index: of the low cell, one past the high
 WAYPOINT_THRESHOLD = 0.5  # m: a waypoint this close counts as reached
+# Simulation.phase codes, ordered so that one comparison selects: on site is
+# >= IDLE, has workflow to run this tick >= DWELLING, moves == MOVING
+OFFSITE, DONE, IDLE, QUEUE_WAIT, DWELLING, MOVING = range(6)
 # A tick with at most this many moving rows + skin pairs + listed walls runs
 # in Python floats (_run_substeps_small), a larger one on arrays.  On the
 # crowd workload's first 60 ticks (seeds 1 to 3, 10 substeps) the small
@@ -254,6 +257,9 @@ def _build_obstacle_table(
     # agents stay on the map; 1e-6 * cs absorbs rounding in floor(x / cs)
     # and in the squared-distance test
     r_max = _widened(reach, travel, max(env.width, env.height) * cs, substeps) + 1e-6 * cs
+    # every wall centre lies this close to any point on the map, so a larger
+    # r_max would list the same walls for the cells agents start ticks in
+    r_max = min(r_max, math.hypot(env.width + 2, env.height + 2) * cs)
     pad = math.ceil(r_max / cs) + 1
     # cells whose rectangle lies within r_max of the centre of cell (0, 0)
     off = np.arange(-pad, pad + 1, dtype=np.int64)
@@ -477,24 +483,31 @@ def _obstacle_acceleration(
 
 def _run_substeps(
     t: _Tick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float, substeps: int,
-    params: ForceParameters, advance: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    params: ForceParameters, movers: list[_Agent] | None = None,
 ) -> None:
     """Run ``substeps`` Euler substeps of tick ``t`` on the moving rows of
     ``pos``, ``vel`` and ``tgt``, in place.
 
     The moving rows' positions, velocities and targets stay arrays ``pm``,
-    ``vm`` and ``tm`` for the whole tick, and ``advance(pm, tm)``, if given,
-    moves targets on at the start of each substep.  ``pos`` is updated every
-    substep, since the pair offsets read it; ``vel`` and ``tgt`` at the end.
-    Each moving row's cell code carries over from one ``_contain`` to the
-    next, since it is the code of the point the step ended at.
+    ``vm`` and ``tm`` for the whole tick.  Given ``movers``, the agent of
+    each moving row, each substep starts by moving on, with
+    ``_Agent.next_target``, the target of every row within
+    ``WAYPOINT_THRESHOLD`` of it.  ``pos`` is updated every substep, since
+    the pair offsets read it; ``vel`` and ``tgt`` at the end.  Each moving
+    row's cell code carries over from one ``_contain`` to the next, since it
+    is the code of the point the step ended at.
     """
     mv, bins, flat = t.mv, t.bins, t.bins.ravel()
     pm, vm, tm = pos.take(mv, 0), vel.take(mv, 0), tgt.take(mv, 0)
     code = None if t.env is None else _cell_code(t.env, pm)
+    thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
     for _ in range(substeps):
-        if advance is not None:
-            advance(pm, tm)
+        if movers is not None:
+            off = pm - tm
+            for j in (off[:, 0] ** 2 + off[:, 1] ** 2 <= thr2).nonzero()[0]:
+                target = movers[j].next_target(pm[j, 0], pm[j, 1])
+                if target is not None:
+                    tm[j] = target
         delta = tm - pm
         dist = np.hypot(delta[:, 0], delta[:, 1])
         ehat = np.divide(delta, dist[:, None], out=np.zeros(delta.shape),
@@ -570,19 +583,16 @@ def _contain_point(
 
 def _run_substeps_small(
     t: _Tick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float, substeps: int,
-    params: ForceParameters,
-    steer: Callable[[int, float, float], tuple[float, float] | None] | None = None,
+    params: ForceParameters, movers: list[_Agent] | None = None,
 ) -> None:
     """``_run_substeps`` on Python floats, for a tick with few moving rows,
     pairs and walls: the same bytes at a fraction of the numpy calls.
 
-    Each substep, ``steer(i, x, y)``, if given, returns the new target of
-    moving row ``i`` standing within ``WAYPOINT_THRESHOLD`` of its target at
-    (x, y), or None to keep it.  Every operation is the array kernel's, in
-    its order: ``x * x`` where that squares an array, ``math.sqrt`` for
-    ``np.sqrt`` and sums in ``np.bincount``'s input order.  ``exp`` and
-    ``hypot`` stay numpy calls, one each on a float64 array per substep
-    (and one ``hypot`` for the speed cap), since ``math.exp`` and
+    ``movers`` moves targets on as in ``_run_substeps``.  Every operation is
+    the array kernel's, in its order: ``x * x`` where that squares an array,
+    ``math.sqrt`` for ``np.sqrt`` and sums in ``np.bincount``'s input order.
+    ``exp`` and ``hypot`` stay numpy calls, one each on a float64 array per
+    substep (and one ``hypot`` for the speed cap), since ``math.exp`` and
     ``math.hypot`` may round differently.
     """
     m = len(t.mv)
@@ -611,11 +621,11 @@ def _run_substeps_small(
     code = None if env is None else [_cell_code_at(env, X[i], Y[i]) for i in range(m)]
     moving = range(m)
     for _ in range(substeps):
-        if steer is not None:
+        if movers is not None:
             for i in moving:
                 ox, oy = X[i] - tx[i], Y[i] - ty[i]
                 if ox * ox + oy * oy <= thr2:
-                    target = steer(i, X[i], Y[i])
+                    target = movers[i].next_target(X[i], Y[i])
                     if target is not None:
                         tx[i], ty[i] = target
         # hypot arguments: each row's offset to its target, then each near wall's
@@ -782,22 +792,17 @@ class _Cursor:
 
 
 class _Agent:
-    __slots__ = (
-        "index", "type_idx", "spec", "rng",
-        "phase", "cursor", "dwell_remaining", "waypoints", "wp_i", "pending_loc",
-    )
+    """Per-agent Python state; ``Simulation`` owns the agent's arrays and phase."""
 
-    def __init__(self, index, type_idx, spec, rng):
+    __slots__ = ("index", "rng", "cursor", "dwell_remaining", "waypoints", "wp_i")
+
+    def __init__(self, index, workflow, rng):
         self.index = index
-        self.type_idx = type_idx
-        self.spec = spec
         self.rng = rng
-        self.phase = "offsite"  # offsite/moving/dwelling/queue_wait/idle/done
-        self.cursor = _Cursor(spec.workflow)
+        self.cursor = _Cursor(workflow)
         self.dwell_remaining = 0
         self.waypoints: list[tuple[float, float]] = []
         self.wp_i = 0
-        self.pending_loc: str | None = None
 
     def next_target(self, x: float, y: float) -> tuple[float, float] | None:
         """The target of this moving agent standing at (x, y), near its target:
@@ -885,13 +890,15 @@ class Simulation:
 
         self.agents: list[_Agent] = []
         v0: list[float] = []
+        types: list[int] = []
         self._arrival_schedule: dict[int, list[int]] = {}
         for t_idx, spec in enumerate(scenario.agent_types):
             for i in range(spec.population):
                 index = len(self.agents)
                 rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
                 v0.append(spec.desired_speed.sample(rng))  # each stream's first draw
-                self.agents.append(_Agent(index, t_idx, spec, rng))
+                types.append(t_idx)
+                self.agents.append(_Agent(index, spec.workflow, rng))
                 self._arrival_schedule.setdefault(spec.arrival[i], []).append(index)
         n = len(self.agents)
 
@@ -899,8 +906,10 @@ class Simulation:
         self.vel = np.zeros((n, 2))
         self.tgt = np.zeros((n, 2))
         self.v0 = np.array(v0, dtype=np.float64)
-        self.radius = np.array([a.spec.radius for a in self.agents], dtype=np.float64)
-        self.present = np.zeros(n, dtype=bool)
+        self.type_ids = np.array(types, dtype=np.int32)
+        self.radius = np.array([t.radius for t in scenario.agent_types],
+                               dtype=np.float64)[self.type_ids]
+        self.phase = np.full(n, OFFSITE, dtype=np.int8)
         # wide enough that a tick's wall list, gathered where agents start it, holds
         self._obstacles = _build_obstacle_table(
             self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces,
@@ -910,6 +919,7 @@ class Simulation:
         self.loc_state = {name: _LocationState(loc) for name, loc in self.env.locations.items()}
         self.arrivals = 0
         self.departures = 0
+        self._ran = False
 
     # -- slots -----------------------------------------------------------------
 
@@ -933,7 +943,6 @@ class Simulation:
             st.take_berth(ag.index)
             return True
         st.waiters.append((tick, ag.index))
-        ag.pending_loc = name
         return False
 
     # -- movement ---------------------------------------------------------------
@@ -946,7 +955,7 @@ class Simulation:
             try:
                 path, _ = routing.shortest_cell_path(self.env, start, goal)
             except routing.NoRouteError as e:
-                t_name = self.type_names[ag.type_idx]
+                t_name = self.type_names[self.type_ids[ag.index]]
                 raise SimulationFault(
                     f"agent {ag.index} ({t_name}) cannot reach location {goal_name!r}: {e}"
                 ) from e
@@ -956,11 +965,11 @@ class Simulation:
         waypoints.append(point)
         ag.waypoints = waypoints
         ag.wp_i = 0
-        ag.phase = "moving"
+        self.phase[ag.index] = MOVING
         self.tgt[ag.index] = waypoints[0]
 
-    def _freeze(self, ag: _Agent, phase: str) -> None:
-        ag.phase = phase
+    def _freeze(self, ag: _Agent, phase: int) -> None:
+        self.phase[ag.index] = phase
         self.vel[ag.index] = 0.0
         self.tgt[ag.index] = self.pos[ag.index]
 
@@ -976,7 +985,7 @@ class Simulation:
     def _enter_current(self, ag: _Agent, tick: int) -> None:
         for _ in range(64):  # zero-length steps collapse within the tick
             if ag.cursor.done():
-                self._freeze(ag, "idle")
+                self._freeze(ag, IDLE)
                 return
             step = ag.cursor.current()
             if isinstance(step, (GoTo, Queue)):
@@ -986,7 +995,7 @@ class Simulation:
                 ticks = sample_duration(step.duration, ag.rng, self.tick_length)
                 if ticks > 0:
                     ag.dwell_remaining = ticks
-                    self._freeze(ag, "dwelling")
+                    self._freeze(ag, DWELLING)
                     return
                 ag.cursor.advance(tick)
                 continue
@@ -996,12 +1005,11 @@ class Simulation:
             raise AssertionError(f"unhandled step {step!r}")
         # a cycle of zero-length steps: hold for a tick rather than spin
         ag.dwell_remaining = 1
-        self._freeze(ag, "dwelling")
+        self._freeze(ag, DWELLING)
 
     def _depart(self, ag: _Agent) -> None:
         self._release(ag)  # a waiter cannot depart: only a grant moves it on
-        self.present[ag.index] = False
-        self._freeze(ag, "done")
+        self._freeze(ag, DONE)
         self.departures += 1
 
     def _reached_target(self, ag: _Agent) -> bool:
@@ -1026,7 +1034,6 @@ class Simulation:
 
     def _process_arrival(self, ag: _Agent, tick: int) -> None:
         """Place the agent at its berth, or outside the full location, and route."""
-        self.present[ag.index] = True
         self.arrivals += 1
         ag.cursor.normalize(tick)
         step = ag.cursor.current()  # validated: goto or queue
@@ -1042,12 +1049,12 @@ class Simulation:
         self._route_to(ag, point, name)
 
     def _tick_workflow(self, ag: _Agent, tick: int) -> None:
-        if ag.phase == "dwelling":
+        if self.phase[ag.index] == DWELLING:
             ag.dwell_remaining -= 1
             if ag.dwell_remaining <= 0:
                 ag.cursor.advance(tick)
                 self._enter_current(ag, tick)
-        elif ag.phase == "moving":
+        else:  # moving
             step = ag.cursor.current()  # a goto or queue step
             if not self._holds(ag, step.location) or not self._reached_target(ag):
                 return
@@ -1058,7 +1065,7 @@ class Simulation:
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
                 else:
-                    self._freeze(ag, "queue_wait")
+                    self._freeze(ag, QUEUE_WAIT)
             else:
                 ag.cursor.advance(tick)
                 self._enter_current(ag, tick)
@@ -1073,12 +1080,12 @@ class Simulation:
                 _, idx = st.waiters.pop(0)
                 ag = self.agents[idx]
                 st.take_berth(idx)
-                ag.pending_loc = None
                 # a waiter in a queue has one pending request: its next goto's
-                if ag.phase == "queue_wait":
+                phase = self.phase[idx]
+                if phase == QUEUE_WAIT:
                     ag.cursor.advance(tick)
                     self._enter_current(ag, tick)
-                elif ag.phase == "moving":
+                elif phase == MOVING:
                     self._route_to(ag, self._berth_point(ag, name), name)
         self._check_deadlock(tick)
 
@@ -1100,7 +1107,7 @@ class Simulation:
             dropped = False
             for name, st in list(waiting.items()):
                 if st.has_free() or any(
-                    h not in stuck and self.agents[h].phase != "idle" for h in st.berths
+                    h not in stuck and self.phase[h] != IDLE for h in st.berths
                 ):
                     for _, idx in waiting.pop(name).waiters:
                         del stuck[idx]
@@ -1115,70 +1122,59 @@ class Simulation:
                 repr(name) for name in sorted(self.loc_state) if self._holds(ag, name)
             ) or "no slot"
             what = f"waits for {stuck[idx]!r}" if idx in stuck else "has ended its workflow"
-            parts.append(f"agent {idx} ({self.type_names[ag.type_idx]}) holds {held} and {what}")
+            t_name = self.type_names[self.type_ids[idx]]
+            parts.append(f"agent {idx} ({t_name}) holds {held} and {what}")
         raise SimulationFault(f"capacity deadlock at tick {tick}: " + "; ".join(parts))
 
     # -- physics ---------------------------------------------------------------
 
-    def _advance_waypoints(self, agents: np.ndarray, pm: np.ndarray, tm: np.ndarray) -> None:
-        """Move on the targets ``tm`` of the moving agents ``agents``, standing at ``pm``."""
-        thr = WAYPOINT_THRESHOLD
-        off = pm - tm
-        for j in (off[:, 0] ** 2 + off[:, 1] ** 2 <= thr * thr).nonzero()[0]:
-            target = self.agents[agents[j]].next_target(pm[j, 0], pm[j, 1])
-            if target is not None:
-                tm[j] = target
-
-    def _physics(self) -> None:
-        g_idx = np.nonzero(self.present)[0]
-        if len(g_idx) == 0:
-            return
-        here = [self.agents[i] for i in g_idx]
-        moving = np.array([ag.phase == "moving" for ag in here], dtype=bool)
+    def _physics(self, on_site: np.ndarray) -> None:
+        g_idx = np.nonzero(on_site)[0]
+        moving = self.phase[g_idx] == MOVING
         if not moving.any():
             return  # nobody moves, and frozen agents already stand still
         pos, vel, tgt = self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx]
         speeds, radii = self.v0[g_idx], self.radius[g_idx]
-        # each waiter keeps off the cells of the location it waits for
-        index = self.env.location_index
-        fb = np.array([index.get(ag.pending_loc, -1) for ag in here], dtype=np.int64)
+        # each waiter keeps off the cells of the one location it waits for
+        gate = np.full(len(self.agents), -1, dtype=np.int64)
+        for name, st in self.loc_state.items():
+            if st.waiters:
+                gate[[idx for _, idx in st.waiters]] = self.env.location_index[name]
         substeps = self.config.physics_substeps
-        dt = self.tick_length / substeps
         # one neighbour search and one wall gather per tick; substeps filter them
-        tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, fb, self.env,
-                             self._obstacles, self.tick_length, substeps)
-        if len(tick.mv) + tick.pairs.shape[1] + len(tick.wall_agent) <= SMALL_TICK_MAX:
-            movers = [here[i] for i in tick.mv.tolist()]
-            _run_substeps_small(tick, pos, vel, tgt, dt, substeps, self.config.forces,
-                                lambda i, x, y: movers[i].next_target(x, y))
-        else:
-            agents = g_idx[tick.mv]
-            _run_substeps(tick, pos, vel, tgt, dt, substeps, self.config.forces,
-                          lambda pm, tm: self._advance_waypoints(agents, pm, tm))
+        tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, gate[g_idx],
+                             self.env, self._obstacles, self.tick_length, substeps)
+        small = len(tick.mv) + tick.pairs.shape[1] + len(tick.wall_agent) <= SMALL_TICK_MAX
+        kernel = _run_substeps_small if small else _run_substeps
+        kernel(tick, pos, vel, tgt, self.tick_length / substeps, substeps, self.config.forces,
+               [self.agents[i] for i in g_idx[tick.mv].tolist()])
         self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self, observer: Callable[[TickFrame], None] | None = None) -> RunSummary:
+        if self._ran:
+            raise RuntimeError("Simulation.run was already called: its agents have moved on; "
+                               "make a new Simulation to run again")
+        self._ran = True
         n = len(self.agents)
         ids = np.arange(n, dtype=np.int64)
-        type_ids = np.array([a.type_idx for a in self.agents], dtype=np.int32)
         for tick in range(self.config.ticks):
             for idx in self._arrival_schedule.get(tick, ()):
                 self._process_arrival(self.agents[idx], tick)
-            for ag in self.agents:
-                if ag.phase in ("dwelling", "moving"):
-                    self._tick_workflow(ag, tick)
+            # a workflow step changes only its own agent's phase
+            for idx in np.nonzero(self.phase >= DWELLING)[0].tolist():
+                self._tick_workflow(self.agents[idx], tick)
             self._grant_pass(tick)
-            self._physics()
+            on_site = self.phase >= IDLE
+            self._physics(on_site)
             if observer is not None:
-                sel = self.present
                 observer(
                     TickFrame(
                         tick=tick,
-                        ids=ids[sel],  # boolean indexing copies
-                        type_ids=type_ids[sel],
-                        positions=self.pos[sel],
+                        ids=ids[on_site],  # boolean indexing copies
+                        type_ids=self.type_ids[on_site],
+                        positions=self.pos[on_site],
                         type_names=self.type_names,
                     )
                 )

@@ -391,6 +391,37 @@ def test_type_name_with_a_separator_exits_1(name, clinic, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+FAST_RUN = """
+import resource, sys
+# 1 GiB of address space: a wall table that grew with the tick's travel
+# would need gigabytes here, and fails at once instead of taking them
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.RLIM_INFINITY))
+from contactmix import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_very_fast_agent_type_runs(tmp_path):
+    """A tick's travel at 1000 m/s crosses the map many times over; the wall
+    table stops at the map's extent instead of growing with that travel."""
+    doc = clinic_doc()
+    for spec in doc["agent_types"]:
+        spec["desired_speed"] = {"kind": "constant", "value": 1000.0}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAST_RUN, "run", "--scenario", str(path), "--ticks", "5",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["arrivals"] == 3
+
+
 # (where in the scenario document, key at fault): json reads NaN, Infinity
 # and 1e999 as floats, and the integer 10**400 is beyond the float range
 NUMERIC_FIELDS = {

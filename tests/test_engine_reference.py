@@ -281,9 +281,9 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
     seen = []
     contained = []
 
-    def record(pm, tm):
-        assert tm.tobytes() == targets[tick.mv].tobytes()  # nothing advances them here
-        seen.append(pm.copy())
+    def near_pairs(pairs, pos, cutoff):  # called once per substep, at its start
+        seen.append(pos[tick.mv])
+        return real_near_pairs(pairs, pos, cutoff)
 
     def checked_contain(env, pm, code, cand, vel, gate):
         assert code.tobytes() == _cell_code(env, pm).tobytes()
@@ -292,11 +292,12 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
         contained.append(len(pm))
         return end
 
-    real_contain = engine._contain
+    real_contain, real_near_pairs = engine._contain, engine._near_pairs
     got_pos, got_vel, got_tgt = pos.copy(), vel.copy(), targets.copy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_contain", checked_contain)
-        _run_substeps(tick, got_pos, got_vel, got_tgt, dt, substeps, params, record)
+        mp.setattr(engine, "_near_pairs", near_pairs)
+        _run_substeps(tick, got_pos, got_vel, got_tgt, dt, substeps, params)
     assert len(contained) == (0 if tick.env is None else substeps)
 
     ref_pos, ref_vel = pos, vel
@@ -309,7 +310,7 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
         )
     assert got_pos.tobytes() == ref_pos.tobytes()
     assert got_vel.tobytes() == ref_vel.tobytes()
-    assert got_tgt.tobytes() == targets.tobytes()
+    assert got_tgt.tobytes() == targets.tobytes()  # nothing advances them here
     if tick.env is None:  # containment left out: no step may have needed it
         assert (forbidden[moving] < 0).all()
         fb = np.full(len(tick.mv), -1)

@@ -12,8 +12,6 @@ ticks that leave containment out.
 
 from __future__ import annotations
 
-import types
-
 import numpy as np
 import pytest
 
@@ -71,8 +69,8 @@ def run_kernel(small, tick, pos, vel, tgt, dt, substeps, params, routed):
                 return out
 
             mp.setattr(engine, "_contain_point", contain_point)
-            steer = (lambda i, x, y: agents[i].next_target(x, y)) if routed else None
-            _run_substeps_small(tick, pos, vel, tgt, dt, substeps, params, steer)
+            _run_substeps_small(tick, pos, vel, tgt, dt, substeps, params,
+                                agents if routed else None)
         else:
             real = engine._contain
 
@@ -83,11 +81,8 @@ def run_kernel(small, tick, pos, vel, tgt, dt, substeps, params, routed):
                 return end
 
             mp.setattr(engine, "_contain", contain)
-            holder = types.SimpleNamespace(agents=agents)
-            rows = np.arange(len(agents))
-            advance = (lambda pm, tm: engine.Simulation._advance_waypoints(holder, rows, pm, tm)
-                       ) if routed else None
-            _run_substeps(tick, pos, vel, tgt, dt, substeps, params, advance)
+            _run_substeps(tick, pos, vel, tgt, dt, substeps, params,
+                          agents if routed else None)
     return pos, vel, tgt, [ag.wp_i for ag in agents], codes
 
 
