@@ -360,6 +360,9 @@ def hourly_series(
     first = ledger.first_tick if ledger.first_tick is not None else 0
     horizon = ledger.horizon if ledger.horizon is not None else 0
     n_buckets = max(1, -(-(first + horizon) // bucket_length))
+    # a bucket longer than the run holds all of it; this one keeps the sums
+    # below inside int64 however long the caller's is
+    bucket_length = min(bucket_length, max(1, first + horizon))
     k = len(type_names)
     keys = [(a, b) for x, a in enumerate(type_names) for b in type_names[x:]]
 

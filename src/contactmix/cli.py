@@ -176,6 +176,8 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
         problem = check_type_name(name)
         if problem:
             raise _UsageError(f"bad --populations entry {item!r}; type name {name!r} {problem}")
+        if name in out:
+            raise _UsageError(f"--populations gives type {name!r} twice")
         try:
             count = int(value)
         except ValueError:

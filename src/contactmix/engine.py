@@ -26,9 +26,7 @@ lists by the exact cutoff tests, so it sees the pairs, walls, distances and
 order a fresh search would.  Forces are summed with ``np.bincount``, which
 adds in input order: per axis, each agent's relaxation term, then +f on
 every pair's first agent, then -f on every second agent, in pair order;
-wall forces are summed from zero in (agent, wall) order, then added.  A
-substep with no pair within the cutoff takes ``relax + 0.0`` instead: the
-bincount starts every bin at +0.0, so that is its sum, a -0.0 term included.
+wall forces are summed from zero in (agent, wall) order, then added.
 Containment reads one grid of cell codes: a cell's location index, -1 off
 every location, -2 where blocked and on a ring around the map.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
@@ -53,12 +51,8 @@ differently.  Both kernels take the agent of each moving row and move its
 waypoints with ``_Agent.next_target``.  In both, each moving row's cell code
 carries over from one substep's containment to the next: a step ends at its
 candidate point, a slide of it or its start, and the code of each was
-computed on the way.  Containment is left out for the whole tick when no
-moving agent is gated and no cell with code < -1 lies within an agent's
-widened tick travel of where it starts (one lookup per agent in an integral
-image of those cells, built once per map).  Every step of such a tick then
-ends in an allowed cell, so containment would return it as it is.
-``social_force_step`` is the array kernel run for one substep.
+computed on the way.  ``social_force_step`` is the array kernel run for one
+substep.
 
 Capacity is slot accounting, recorded once: each location maps the agents
 holding a slot there to their berths.  A grant takes the smallest berth not
@@ -109,8 +103,7 @@ _EPS = 1e-12
 _NO_GATE = -3  # a gate that no cell code matches
 _SLIDES = np.array([[[False, True]], [[True, False]]])  # slide along x, along y
 _XY = np.array([0, 1])  # bin 2 * row + axis: one bincount sums both axes
-_BOX = np.array([[-1.0], [1.0]])  # a box's low corner, then its high one
-_BOX_INDEX = np.array([[1], [2]])  # integral image index: of the low cell, one past the high
+_ULP = float(np.finfo(np.float64).eps)  # the spacing of floats at 1.0
 WAYPOINT_THRESHOLD = 0.5  # m: a waypoint this close counts as reached
 # Simulation.phase codes, ordered so that one comparison selects: on site is
 # >= IDLE, has workflow to run this tick >= DWELLING, moves == MOVING
@@ -217,7 +210,7 @@ def _widened(radius: float, travel: float, extent: float, substeps: int) -> floa
     distances, and a few ulps of the largest coordinate ``extent`` on every
     position update."""
     span = radius + travel + substeps * (extent + travel)
-    return radius + travel + 64.0 * np.finfo(np.float64).eps * span
+    return radius + travel + 64.0 * _ULP * span
 
 
 @dataclass(frozen=True)
@@ -244,8 +237,6 @@ class _ObstacleTable:
     starts: np.ndarray
     idx: np.ndarray
     box: np.ndarray  # (walls, 3, 2): centre, lower-left and upper-right corner
-    # integral image of ``cell_codes < -1``: [x, y] counts the cells below index x and y
-    blocked: np.ndarray
 
 
 def _build_obstacle_table(
@@ -277,13 +268,10 @@ def _build_obstacle_table(
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
     centers = (cells + 0.5) * cs
-    blocked = np.zeros((env.width + 3, env.height + 3), dtype=np.int64)
-    np.cumsum(np.cumsum(env.cell_codes < -1, axis=0), axis=1, out=blocked[1:, 1:])
     return _ObstacleTable(
         cell_size=cs, reach=reach, travel=travel, x0=x0, y0=y0, cols=cols, rows=rows,
         starts=starts, idx=wall[order],
         box=np.stack([centers, centers - cs / 2.0, centers + cs / 2.0], axis=1),
-        blocked=blocked,
     )
 
 
@@ -342,21 +330,6 @@ def _contain(
     return end
 
 
-def _blocked_near(table: _ObstacleTable, pts: np.ndarray, reach: np.ndarray) -> bool:
-    """Whether a cell with code < -1 (blocked, or off the map) lies within
-    ``reach[i]`` of ``pts[i]`` along both axes, for any i: one lookup of each
-    point's box of cells in the integral image.  A box reaching off the grid
-    keeps its border cells, where ``_cell_code`` puts every farther point."""
-    s = table.blocked
-    cell = np.floor((pts[:, None] + reach[:, None, None] * _BOX) / table.cell_size)
-    np.maximum(cell, -1, out=cell)  # clipped before the cast, which a far point would overflow
-    np.minimum(cell, (s.shape[0] - 3, s.shape[1] - 3), out=cell)
-    i = cell.astype(np.int64) + _BOX_INDEX
-    c = s[i[:, :, None, 0], i[:, None, :, 1]]  # [point, x corner, y corner]
-    c = c[:, 1] - c[:, 0]
-    return bool((c[:, 1] - c[:, 0]).any())
-
-
 def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
     """Distance beyond which agent-agent repulsion is ignored."""
     return 2.0 * float(radii.max()) + 8.0 * params.repulsion_range
@@ -399,7 +372,7 @@ class _Tick:
     bins: np.ndarray  # (m, 2): bincount bins 2 * row + axis of the moving rows
     pair_bins: np.ndarray  # (2, p, 2): the bins of each pair's a, then of its b
     cutoff: float
-    env: EnvironmentMap | None  # the map steps are contained in; None if no step can be cut
+    env: EnvironmentMap | None  # the map steps are contained in; None without a map
     gate: np.ndarray  # per moving row, the location index it may not enter, or _NO_GATE
     r2: float  # squared wall cutoff
     wall_agent: np.ndarray  # per listed wall, its moving row (rows, walls ascending)
@@ -418,8 +391,7 @@ def _prepare_tick(
     Frozen agents stay force sources, but a pair of two frozen agents changes
     nothing.  Each moving agent's walls come from the table cell it starts
     in; the table's travel must cover ``tick_length`` at the speed cap.
-    Containment is left out for the tick when no moving agent is gated and
-    none can reach a blocked or off-map cell at its speed cap.
+    With a map, every substep of the tick runs containment.
     """
     mv = np.nonzero(moving)[0]
     cutoff = _agent_cutoff(radii, params)
@@ -438,15 +410,8 @@ def _prepare_tick(
             raise ValueError(f"obstacle table covers {table.reach} m and {table.travel} m "
                              f"of travel, step needs {radius} m and {travel} m")
         r2 = radius * radius
-        pm = pos[mv]
-        agent, wall = _gather_walls(table, pm)
+        agent, wall = _gather_walls(table, pos[mv])
         walls = table.box.take(wall, 0).transpose(1, 0, 2)
-        if not (fb >= 0).any():
-            # a substep moves an agent by at most dt times its capped speed,
-            # and only a gate or a cell with code < -1 truncates a step
-            extent = max(env.width, env.height) * table.cell_size
-            if not _blocked_near(table, pm, _widened(0.0, vmax * tick_length, extent, substeps)):
-                env = None
     return _Tick(
         mv=mv, speeds=speeds[mv], vmax=vmax, pairs=pairs,
         pair_r=radii[pairs[0]] + radii[pairs[1]], bins=2 * mv[:, None] + _XY,
@@ -456,18 +421,13 @@ def _prepare_tick(
     )
 
 
-def _obstacle_acceleration(
-    tick: _Tick, pm: np.ndarray, params: ForceParameters
-) -> np.ndarray | None:
-    """Wall forces on the moving rows standing at ``pm``, or None if no wall
-    is within the cutoff: of each one's listed walls, the exact cutoff test
-    keeps the ones a lookup in its current cell would, in the same (agent,
-    wall) order."""
+def _obstacle_acceleration(tick: _Tick, pm: np.ndarray, params: ForceParameters) -> np.ndarray:
+    """Wall forces on the moving rows standing at ``pm``: of each one's listed
+    walls, the exact cutoff test keeps the ones a lookup in its current cell
+    would, in the same (agent, wall) order."""
     p = pm.take(tick.wall_agent, 0)
     sq = (p - tick.walls[0]) ** 2
     k = (sq[:, 0] + sq[:, 1] <= tick.r2).nonzero()[0]
-    if len(k) == 0:
-        return None
     p = p.take(k, 0)
     _, lo, hi = tick.walls.take(k, 1)
     off = p - np.minimum(hi, np.maximum(lo, p))  # from the closest point of the wall
@@ -493,9 +453,10 @@ def _run_substeps(
     each moving row, each substep starts by moving on, with
     ``_Agent.next_target``, the target of every row within
     ``WAYPOINT_THRESHOLD`` of it.  ``pos`` is updated every substep, since
-    the pair offsets read it; ``vel`` and ``tgt`` at the end.  Each moving
-    row's cell code carries over from one ``_contain`` to the next, since it
-    is the code of the point the step ended at.
+    the pair offsets read it; ``vel`` and ``tgt`` at the end.  With a map,
+    every substep runs ``_contain``, and each moving row's cell code carries
+    over from one ``_contain`` to the next, since it is the code of the
+    point the step ended at.
     """
     mv, bins, flat = t.mv, t.bins, t.bins.ravel()
     pm, vm, tm = pos.take(mv, 0), vel.take(mv, 0), tgt.take(mv, 0)
@@ -514,29 +475,21 @@ def _run_substeps(
                          where=dist[:, None] > _EPS)
         relax = (t.speeds[:, None] * ehat - vm) / params.relaxation_time
         k, off, d = _near_pairs(t.pairs, pos, t.cutoff)
-        if len(k):
-            nz = d > _EPS
-            same = (~nz).nonzero()[0]  # coincident agents
-            if len(same) == 0:
-                u = off / d[:, None]
-            else:
-                u = np.divide(off, d[:, None], out=np.zeros(off.shape), where=nz[:, None])
-                for j in same:
-                    u[j] = _pair_direction(*t.pairs[:, k[j]].tolist())
-            mag = params.repulsion_strength * np.exp((t.pair_r[k] - d) / params.repulsion_range)
-            f = mag[:, None] * u
-            # one pass in input order, per axis: relaxation, then +f on each a,
-            # then -f on each b; rows of frozen agents collect their terms too,
-            # and are dropped
-            acc = np.bincount(np.concatenate([flat, t.pair_bins.take(k, 1).ravel()]),
-                              np.concatenate([relax, f, -f]).ravel(),
-                              minlength=2 * len(pos)).take(bins)
-        else:
-            acc = relax + 0.0  # as bincount sums it: every bin starts at +0.0
-        # without a wall in range the wall term is +0.0, and acc is never -0.0
-        wall = _obstacle_acceleration(t, pm, params) if len(t.wall_agent) else None
-        if wall is not None:
-            acc += wall
+        nz = d > _EPS
+        u = np.divide(off, d[:, None], out=np.zeros(off.shape), where=nz[:, None])
+        for j in (~nz).nonzero()[0]:  # coincident agents
+            u[j] = _pair_direction(*t.pairs[:, k[j]].tolist())
+        mag = params.repulsion_strength * np.exp((t.pair_r[k] - d) / params.repulsion_range)
+        f = mag[:, None] * u
+        # one pass in input order, per axis: relaxation, then +f on each a,
+        # then -f on each b; rows of frozen agents collect their terms too,
+        # and are dropped.  Every bin starts at +0.0: with no pair in range
+        # this is relax + 0.0, no sum is -0.0, and a wall term of +0.0 (no
+        # wall in range) changes nothing
+        acc = np.bincount(np.concatenate([flat, t.pair_bins.take(k, 1).ravel()]),
+                          np.concatenate([relax, f, -f]).ravel(),
+                          minlength=2 * len(pos)).take(bins)
+        acc += _obstacle_acceleration(t, pm, params)
         v = vm + dt * acc
         speed = np.hypot(v[:, 0], v[:, 1])
         over = (speed > t.vmax).nonzero()[0]
@@ -593,7 +546,8 @@ def _run_substeps_small(
     ``math.sqrt`` for ``np.sqrt`` and sums in ``np.bincount``'s input order.
     ``exp`` and ``hypot`` stay numpy calls, one each on a float64 array per
     substep (and one ``hypot`` for the speed cap), since ``math.exp`` and
-    ``math.hypot`` may round differently.
+    ``math.hypot`` may round differently.  The tick must have a map, as
+    every tick of ``Simulation._physics`` does.
     """
     m = len(t.mv)
     # X, Y: the moving rows, then the frozen pair ends; pairs index them
@@ -618,7 +572,7 @@ def _run_substeps_small(
     rep_s, rep_r = params.repulsion_strength, params.repulsion_range
     obs_s, obs_r = params.obstacle_strength, params.obstacle_range
     thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
-    code = None if env is None else [_cell_code_at(env, X[i], Y[i]) for i in range(m)]
+    code = [_cell_code_at(env, X[i], Y[i]) for i in range(m)]
     moving = range(m)
     for _ in range(substeps):
         if movers is not None:
@@ -702,10 +656,8 @@ def _run_substeps_small(
                 vx[i] *= cap
                 vy[i] *= cap
             cx, cy = X[i] + dt * vx[i], Y[i] + dt * vy[i]
-            if code is not None:
-                cx, cy, vx[i], vy[i], code[i] = _contain_point(
-                    env, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
-            X[i], Y[i] = cx, cy
+            X[i], Y[i], vx[i], vy[i], code[i] = _contain_point(
+                env, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
     pos.put(t.bins, np.array((X[:m], Y[:m])).T)
     vel.put(t.bins, np.array((vx, vy)).T)
     tgt.put(t.bins, np.array((tx, ty)).T)

@@ -366,6 +366,18 @@ def test_hourly_series_empty_ledger():
     assert series[("w", "w")].sum() == 0
 
 
+@pytest.mark.parametrize("bucket_length", [2**63, 10**30])
+def test_hourly_series_bucket_beyond_int64(golden, bucket_length):
+    """A bucket longer than the run holds all of it, however long: a length
+    past int64 gives the series of a length just past the horizon."""
+    for led in (golden_ledger(golden), ledger_with_one_record(55, 64)):
+        want = hourly_series(led, led.horizon + 7)
+        got = hourly_series(led, bucket_length)
+        assert got.keys() == want.keys()
+        for pair, vec in want.items():
+            assert got[pair].tobytes() == vec.tobytes()
+
+
 def test_hourly_series_validation(golden):
     led = golden_ledger(golden)
     with pytest.raises(ValueError):

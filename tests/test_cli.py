@@ -548,6 +548,15 @@ def test_ingest_bad_populations_syntax_exits_1(golden_trace, tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_ingest_populations_type_given_twice_exits_1(golden_trace, tmp_path, capsys):
+    """A second count for a type is an error, not a silent override."""
+    code = run_cli("ingest-trace", "--trace", golden_trace,
+                   "--populations", "blue=3,ghost=1,blue=5", "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == "error: --populations gives type 'blue' twice\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", ["a:b", "a\tb", "a\x7fb"])
 def test_ingest_populations_type_name_rule(name, golden_trace, tmp_path, capsys):
     code = run_cli("ingest-trace", "--trace", golden_trace,
@@ -687,6 +696,26 @@ def test_bad_numeric_option_exits_1_at_parse_time(command, option, value, clinic
     assert f"error: argument {option}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ingest-trace"])
+def test_tiny_tick_length_puts_the_run_in_one_bucket(command, clinic, golden_trace, tmp_path):
+    """At 1e-300 s a tick, an hour is a bucket of about 3.6e303 ticks, far
+    beyond int64: the whole run falls in bucket 0, as it does at 1e-3 s."""
+    if command == "run":
+        argv = ["run", "--scenario", clinic, "--ticks", 30]
+    else:
+        argv = ["ingest-trace", "--trace", golden_trace]
+    series = []
+    for tick in ("1e-300", "1e-3"):
+        out = tmp_path / tick
+        assert run_cli(*argv, "--tick-length-s", tick, "--out", out) == EXIT_OK
+        m = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert m["bucket_ticks"] == round(3600 / float(tick))  # the caller's, not the clamped
+        series.append((out / "hourly_series.csv").read_text(encoding="utf-8"))
+    if command == "ingest-trace":  # the trace is the same; only the bucket length moved
+        assert series[0] == series[1]
+    assert series[0].count("\n") == 2  # the header and bucket 0
 
 
 @pytest.mark.parametrize("option, value", [("--ticks", "-1"), ("--seed", "-1"), ("--ticks", "2.5")])

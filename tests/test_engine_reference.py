@@ -6,8 +6,8 @@ each moving agent's walls gathered where it starts the tick from a table
 widened by one agent's tick travel, and the gates.  Every substep then
 computes moving rows only, filters both lists by the exact cutoffs and sums
 forces with ``np.bincount``.  One kernel call runs all the substeps of a
-tick, carrying each moving row's cell code from one containment to the
-next and leaving containment out for a tick in which no step can be cut.
+tick, running containment on every substep of a tick with a map and
+carrying each moving row's cell code from one containment to the next.
 The reference below is the substep as it was before: a ``pairs_within``
 search and a wall lookup in each agent's current cell on every substep,
 forces for every agent, ``np.add.at`` sums, and containment by separate
@@ -267,11 +267,10 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
                 substeps, env=ENV):
     """One tick as ``Simulation._physics`` runs it, in one kernel call, checked
     against ``reference_step`` looped, bit for bit: the moving rows at every
-    substep start, and the whole state at the end.  Every cell code the
-    kernel carries must be the one a fresh ``_cell_code`` gives; in a tick
-    that leaves containment out, every step must end where the reference's
-    containment lets it.  Returns the tick and the reference positions at
-    the start of every substep."""
+    substep start, and the whole state at the end.  Every substep must run
+    containment, and every cell code the kernel carries must be the one a
+    fresh ``_cell_code`` gives.  Returns the tick and the reference positions
+    at the start of every substep."""
     table = _build_obstacle_table(
         env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
     )
@@ -298,7 +297,7 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
         mp.setattr(engine, "_contain", checked_contain)
         mp.setattr(engine, "_near_pairs", near_pairs)
         _run_substeps(tick, got_pos, got_vel, got_tgt, dt, substeps, params)
-    assert len(contained) == (0 if tick.env is None else substeps)
+    assert len(contained) == substeps
 
     ref_pos, ref_vel = pos, vel
     starts = []
@@ -311,11 +310,6 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
     assert got_pos.tobytes() == ref_pos.tobytes()
     assert got_vel.tobytes() == ref_vel.tobytes()
     assert got_tgt.tobytes() == targets.tobytes()  # nothing advances them here
-    if tick.env is None:  # containment left out: no step may have needed it
-        assert (forbidden[moving] < 0).all()
-        fb = np.full(len(tick.mv), -1)
-        for p in seen[1:] + [ref_pos[tick.mv]]:
-            assert reference_allowed(env, p, fb, np.zeros(len(fb), dtype=bool)).all()
     return tick, starts
 
 
@@ -422,13 +416,13 @@ def kernel_case(case, seed):
             open_setup(seed, rng.uniform((27.0, 7.0), (38.0, 17.0), size=(12, 2))))
 
         def check(tick):
-            assert tick.env is None and len(tick.wall_agent) == 0 and tick.pairs.shape[1]
+            assert tick.env is not None and len(tick.wall_agent) == 0 and tick.pairs.shape[1]
     elif case == "no pairs":
         params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
             open_setup(seed, [(28.0, 8.0), (36.0, 8.0), (32.0, 16.0)]))
 
         def check(tick):
-            assert tick.pairs.shape == (2, 0) and tick.env is None
+            assert tick.pairs.shape == (2, 0) and tick.env is not None
     elif case == "slides and stops":
         # agent 0 slides along a wall into the bay, agent 1 is stuck in a corner;
         # no wall force turns them away
@@ -472,8 +466,8 @@ def kernel_case(case, seed):
                                   "slides and stops", "negative zero"])
 def test_the_tick_kernel_matches_the_reference_looped(case, substeps):
     """Every substep count from 1 to 10, on ticks with and without pairs,
-    walls, gates and containment, with slides that change an agent's cell
-    code, coincident agents and a -0.0 relaxation term."""
+    walls and gates, with slides that change an agent's cell code,
+    coincident agents and a -0.0 relaxation term."""
     args, check, env = kernel_case(case, substeps)
     tick, _ = kernel_tick(*args, substeps, env=env)
     check(tick)

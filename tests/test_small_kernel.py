@@ -7,7 +7,7 @@ same bytes: positions, velocities and targets at the end of the tick, the
 waypoint each agent has reached, and the cell code each step carries into
 the next containment.  The ticks are those of ``kernel_case``: walls, gates,
 coincident agents, slides and corner stops, a -0.0 relaxation term and
-ticks that leave containment out.
+ticks with no wall or no pair in reach.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def test_small_kernel_matches_the_array_kernel(case, substeps, routed):
         assert g.tobytes() == w.tobytes()
     assert got[3] == want[3]  # waypoint indices
     assert got[4] == want[4]  # carried cell codes, in and out of every containment
-    assert len(want[4]) == (0 if tick.env is None else substeps * len(tick.mv))
+    assert len(want[4]) == substeps * len(tick.mv)
     if routed:
         assert any(want[3])  # some agent passed a waypoint
 
