@@ -23,7 +23,9 @@ from .frames import (
     ROWS, TickFrame, TraceFormatError, check_type_name, read_frames, write_frames,
 )
 from .report import write_bundle
-from .scenario import ScenarioError, load_scenario, round_half_up
+from .scenario import (
+    TICK_LENGTH_RULE, ScenarioError, load_scenario, round_half_up, valid_tick_length,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -55,6 +57,10 @@ def _number(text: str, ok, what: str, cast=float):
 
 def _positive_float(text: str) -> float:
     return _number(text, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+
+
+def _tick_length(text: str) -> float:
+    return _number(text, valid_tick_length, TICK_LENGTH_RULE)
 
 
 def _probability(text: str) -> float:
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=_non_negative_int, default=0)
     p_run.add_argument("--ticks", type=_non_negative_int, required=True,
                        help="simulation horizon in ticks")
-    p_run.add_argument("--tick-length-s", type=_positive_float, default=None,
+    p_run.add_argument("--tick-length-s", type=_tick_length, default=None,
                        help="override the scenario's tick length")
     p_run.add_argument("--export-frames", action="store_true",
                        help="also write the per-tick position trace (frames.csv)")
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser("ingest-trace", help="replay a position trace into contact matrices")
     p_ing.add_argument("--trace", required=True, help="trace CSV path")
-    p_ing.add_argument("--tick-length-s", type=_positive_float, default=1.0)
+    p_ing.add_argument("--tick-length-s", type=_tick_length, default=1.0)
     p_ing.add_argument("--populations", default=None,
                        help="override type populations, e.g. 'patient=12,nurse=4'")
     _add_common(p_ing)
@@ -220,6 +226,7 @@ class _GroupedDetection:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    override = _parse_populations(args.populations)  # before the trace is read
     ledger = _ledger(args)
     detection = _GroupedDetection(ledger)
     # bytes that are not UTF-8 reach read_frames, which names their line
@@ -235,7 +242,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     ledger.finalize(last_tick)
 
     populations = ledger.observed_populations()
-    override = _parse_populations(args.populations)
     for name, count in override.items():
         observed = populations.get(name, 0)
         if count < observed:

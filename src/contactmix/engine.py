@@ -33,14 +33,19 @@ memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
 
 One kernel call runs all the substeps of a tick, and there are two kernels
-with the same bytes.  ``_run_substeps`` keeps the moving rows' positions,
-velocities and targets as arrays for the tick, advances waypoints on them,
-writes the moving rows' positions back once per substep for the pair
-offsets, and the rest once at the end.  ``_run_substeps_small`` keeps them
-as Python floats instead: on a tick of a few rows, numpy's per-call cost,
-not arithmetic, is what a substep pays.  ``Simulation._physics`` runs a
-tick on the small kernel when its moving rows, skin pairs and listed walls
-number at most ``SMALL_TICK_MAX``, and on the array kernel otherwise.  The
+with the same bytes, each with its own preparation.  ``_prepare_tick``
+makes the tick's arrays, and ``_run_substeps`` keeps the moving rows'
+positions, velocities and targets as arrays for the tick, advances
+waypoints on them, writes the moving rows' positions back once per substep
+for the pair offsets, and the rest once at the end.  ``_prepare_small`` and
+``_run_substeps_small`` keep the tick in Python floats and lists instead:
+on a tick of a few rows, numpy's per-call cost, not arithmetic, is what
+both the preparation and a substep pay.  ``_prepare_small`` tests each pair
+with a moving end against the skin as ``pairs_within`` does, takes each
+moving row's walls from a per-cell cache of tuples on the wall table,
+filled as ticks first start in a cell, and gives up once the moving rows,
+skin pairs and listed walls number more than ``SMALL_TICK_MAX``;
+``Simulation._physics`` then prepares and runs the tick on arrays.  The
 small kernel does each array operation as the same IEEE operation on
 floats, in the same order, with ``math.sqrt`` for ``np.sqrt`` (both
 correctly rounded).  ``exp`` and ``hypot`` stay numpy calls on float64
@@ -108,12 +113,13 @@ WAYPOINT_THRESHOLD = 0.5  # m: a waypoint this close counts as reached
 # Simulation.phase codes, ordered so that one comparison selects: on site is
 # >= IDLE, has workflow to run this tick >= DWELLING, moves == MOVING
 OFFSITE, DONE, IDLE, QUEUE_WAIT, DWELLING, MOVING = range(6)
-# A tick with at most this many moving rows + skin pairs + listed walls runs
-# in Python floats (_run_substeps_small), a larger one on arrays.  On the
-# crowd workload's first 60 ticks (seeds 1 to 3, 10 substeps) the small
-# kernel took 0.37 of the array kernel's time at sizes up to 32, 0.80 at
-# 33-64, 1.11 at 65-96, 1.27 at 97-128 and 1.89 at 193-256 (medians); every
-# clinic tick on seed 1 but one is at most 64.
+# A tick with at most this many moving rows + skin pairs + listed walls is
+# prepared and run in Python floats (_prepare_small, _run_substeps_small), a
+# larger one on arrays.  On the crowd workload's first 60 ticks (seeds 1 to 3,
+# 10 substeps) the small kernel took 0.37 of the array kernel's time at
+# sizes up to 32, 0.80 at 33-64, 1.11 at 65-96, 1.27 at 97-128 and 1.89 at
+# 193-256 (medians; timed when both kernels started from _prepare_tick's
+# arrays); every clinic tick on seed 1 but one is at most 64.
 SMALL_TICK_MAX = 64
 
 
@@ -237,6 +243,22 @@ class _ObstacleTable:
     starts: np.ndarray
     idx: np.ndarray
     box: np.ndarray  # (walls, 3, 2): centre, lower-left and upper-right corner
+    # table key -> that cell's walls as tuples, filled as ticks start in the cell
+    _tuples: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def walls_at(self, x: float, y: float) -> list[tuple[float, ...]]:
+        """The walls listed for the cell of the point (x, y), the cell
+        ``_gather_walls`` reads, as (centre, lower and upper x, then the same
+        in y) tuples."""
+        cs = self.cell_size
+        key = (min(max(math.floor(x / cs) - self.x0, 0), self.cols - 1) * self.rows
+               + min(max(math.floor(y / cs) - self.y0, 0), self.rows - 1))
+        walls = self._tuples.get(key)
+        if walls is None:
+            box = self.box.take(self.idx[self.starts[key]:self.starts[key + 1]], 0)
+            walls = box.transpose(0, 2, 1).reshape(-1, 6).tolist()
+            walls = self._tuples[key] = list(map(tuple, walls))
+        return walls
 
 
 def _build_obstacle_table(
@@ -360,9 +382,18 @@ def _near_pairs(
     return k, off.take(k, 0), np.sqrt(d2[k])
 
 
+def _check_table(table: _ObstacleTable, radius: float, travel: float) -> None:
+    """Raise unless ``table`` lists the walls within ``radius`` of an agent
+    that moves up to ``travel`` in a tick."""
+    if radius > table.reach or travel > table.travel:
+        raise ValueError(f"obstacle table covers {table.reach} m and {table.travel} m "
+                         f"of travel, step needs {radius} m and {travel} m")
+
+
 @dataclass(frozen=True)
 class _Tick:
-    """What every substep of one tick shares, made once by ``_prepare_tick``."""
+    """What every substep of one tick shares, made once by ``_prepare_tick``
+    for ``_run_substeps``."""
 
     mv: np.ndarray  # moving rows, ascending: the only rows a substep computes
     speeds: np.ndarray  # desired speed per moving row
@@ -405,10 +436,7 @@ def _prepare_tick(
     r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))
     if env is not None:
         radius = _obstacle_radius(float(radii.max()), params, table.cell_size)
-        travel = _tick_travel(speeds, params, tick_length)
-        if radius > table.reach or travel > table.travel:
-            raise ValueError(f"obstacle table covers {table.reach} m and {table.travel} m "
-                             f"of travel, step needs {radius} m and {travel} m")
+        _check_table(table, radius, _tick_travel(speeds, params, tick_length))
         r2 = radius * radius
         agent, wall = _gather_walls(table, pos[mv])
         walls = table.box.take(wall, 0).transpose(1, 0, 2)
@@ -534,9 +562,90 @@ def _contain_point(
     return cx, cy, vx, vy, slid_x if ok_x else slid_y if ok_y else code
 
 
+@dataclass(frozen=True)
+class _SmallTick:
+    """What every substep of a small tick shares, made by ``_prepare_small``
+    in Python floats: the lists ``_run_substeps_small`` reads."""
+
+    mv: list[int]  # moving rows, ascending
+    x: list[float]  # the moving rows' x, then that of the frozen pair ends
+    y: list[float]
+    # (a's slot in x, b's slot, a, b, radius of a plus radius of b) per pair
+    # within the skin with a moving end, in (a, b) order
+    pairs: list[tuple[int, int, int, int, float]]
+    walls: list[list[tuple[float, ...]]]  # per moving row, ``_ObstacleTable.walls_at``
+    radii: list[float]  # per moving row
+    speeds: list[float]  # desired speed per moving row
+    vmax: list[float]  # speed cap per moving row
+    gate: list[int]  # per moving row, the location index it may not enter, or _NO_GATE
+    c2: float  # squared agent cutoff
+    r2: float  # squared wall cutoff
+    env: EnvironmentMap
+
+
+def _prepare_small(
+    pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
+    moving: np.ndarray, forbidden: np.ndarray | None, env: EnvironmentMap,
+    table: _ObstacleTable, tick_length: float, substeps: int, limit: float,
+) -> _SmallTick | None:
+    """``_prepare_tick`` in Python floats, for ``_run_substeps_small``; None
+    once the moving rows, skin pairs and listed walls number more than
+    ``limit``.
+
+    Each scalar is computed with the operations of ``_prepare_tick``'s
+    helpers, and the skin test is ``pairs_within``'s, so the pairs, walls
+    and cutoffs are the ones ``_prepare_tick`` lists, bit for bit.
+    """
+    mv = moving.nonzero()[0].tolist()
+    count = len(mv)
+    if count > limit:
+        return None
+    (px, py), rad, spd = pos.T.tolist(), radii.tolist(), speeds.tolist()
+    top = max(rad)
+    travel = params.max_speed_factor * max(map(abs, spd), default=0.0) * tick_length  # _tick_travel
+    radius = _obstacle_radius(top, params, table.cell_size)
+    _check_table(table, radius, travel)
+    walls = []
+    for i in mv:
+        walls.append(table.walls_at(px[i], py[i]))
+        count += len(walls[-1])
+        if count > limit:
+            return None
+    cutoff = 2.0 * top + 8.0 * params.repulsion_range  # _agent_cutoff
+    extent = max(max(map(abs, px)), max(map(abs, py)))
+    skin = _widened(cutoff, 2.0 * travel, extent, substeps)  # _skin_radius
+    s2 = skin * skin
+    found = []
+    flags = moving.tolist()
+    for a in mv:  # each pair once: a frozen b, or a moving b beyond a
+        xa, ya = px[a], py[a]
+        for b in range(len(px)):
+            if b == a or (b < a and flags[b]):
+                continue
+            ox, oy = xa - px[b], ya - py[b]
+            if ox * ox + oy * oy <= s2:
+                found.append((a, b) if a < b else (b, a))
+                count += 1
+                if count > limit:
+                    return None
+    found.sort()
+    rows = mv + sorted({r for pair in found for r in pair}.difference(mv))  # then frozen ends
+    slot = {r: k for k, r in enumerate(rows)}
+    cap = params.max_speed_factor
+    return _SmallTick(
+        mv=mv, x=[px[r] for r in rows], y=[py[r] for r in rows],
+        pairs=[(slot[a], slot[b], a, b, rad[a] + rad[b]) for a, b in found],
+        walls=walls, radii=[rad[i] for i in mv], speeds=[spd[i] for i in mv],
+        vmax=[cap * spd[i] for i in mv],
+        gate=[_NO_GATE] * len(mv) if forbidden is None else [
+            g if g >= 0 else _NO_GATE for g in forbidden[mv].tolist()],
+        c2=cutoff * cutoff, r2=radius * radius, env=env,
+    )
+
+
 def _run_substeps_small(
-    t: _Tick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float, substeps: int,
-    params: ForceParameters, movers: list[_Agent] | None = None,
+    t: _SmallTick, pos: np.ndarray, vel: np.ndarray, tgt: np.ndarray, dt: float,
+    substeps: int, params: ForceParameters, movers: list[_Agent] | None = None,
 ) -> None:
     """``_run_substeps`` on Python floats, for a tick with few moving rows,
     pairs and walls: the same bytes at a fraction of the numpy calls.
@@ -546,29 +655,14 @@ def _run_substeps_small(
     ``math.sqrt`` for ``np.sqrt`` and sums in ``np.bincount``'s input order.
     ``exp`` and ``hypot`` stay numpy calls, one each on a float64 array per
     substep (and one ``hypot`` for the speed cap), since ``math.exp`` and
-    ``math.hypot`` may round differently.  The tick must have a map, as
-    every tick of ``Simulation._physics`` does.
+    ``math.hypot`` may round differently.
     """
     m = len(t.mv)
-    # X, Y: the moving rows, then the frozen pair ends; pairs index them
-    X, Y = pos.take(t.mv, 0).T.tolist()
+    X, Y = t.x[:], t.y[:]  # copies: the moving rows' entries move
     vx, vy = vel.take(t.mv, 0).T.tolist()
     tx, ty = tgt.take(t.mv, 0).T.tolist()
-    rows, (pa, pb) = t.mv.tolist(), t.pairs.tolist()
-    slot = dict(zip(rows, range(m)))
-    for r in pa + pb:
-        if r not in slot:
-            slot[r] = len(X)
-            x, y = pos[r].tolist()
-            X.append(x)
-            Y.append(y)
-    pairs = [(slot[a], slot[b], a, b, r) for a, b, r in zip(pa, pb, t.pair_r.tolist())]
-    walls = [[] for _ in rows]  # per moving row: radius, then centre, low and high x, then y
-    for i, *wall in zip(t.wall_agent.tolist(), t.wall_r.tolist(),
-                        *t.walls.transpose(2, 0, 1).reshape(6, len(t.wall_agent)).tolist()):
-        walls[i].append(wall)
-    speeds, vmax, gate = t.speeds.tolist(), t.vmax.tolist(), t.gate.tolist()
-    env, tau, c2, r2 = t.env, params.relaxation_time, t.cutoff * t.cutoff, t.r2
+    walls, radii, speeds, vmax, gate = t.walls, t.radii, t.speeds, t.vmax, t.gate
+    env, tau, c2, r2 = t.env, params.relaxation_time, t.c2, t.r2
     rep_s, rep_r = params.repulsion_strength, params.repulsion_range
     obs_s, obs_r = params.obstacle_strength, params.obstacle_range
     thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
@@ -587,26 +681,26 @@ def _run_substeps_small(
         hy = [ty[i] - Y[i] for i in moving]
         near = []  # (a, b, a's row, b's row, offset, distance) within the cutoff, in pair order
         args = []  # exp arguments: of the near pairs, then of the near walls
-        for a, b, ra, rb, r in pairs:
+        for a, b, ra, rb, r in t.pairs:
             ox, oy = X[a] - X[b], Y[a] - Y[b]
             d2 = ox * ox + oy * oy
             if d2 <= c2:
                 d = math.sqrt(d2)
                 near.append((a, b, ra, rb, ox, oy, d))
                 args.append((r - d) / rep_r)
-        wall_near = []  # (row, radius) of each wall within the cutoff, in (row, wall) order
+        wall_near = []  # the row of each wall within the cutoff, in (row, wall) order
         for i in moving:
             px, py = X[i], Y[i]
-            for r, cx, lx, ux, cy, ly, uy in walls[i]:
+            for cx, lx, ux, cy, ly, uy in walls[i]:
                 ox, oy = px - cx, py - cy
                 if ox * ox + oy * oy <= r2:  # then the offset from the wall's closest point
                     hx.append(px - (lx if px < lx else ux if px > ux else px))
                     hy.append(py - (ly if py < ly else uy if py > uy else py))
-                    wall_near.append((i, r))
-        h = np.hypot(np.array(hx), np.array(hy)).tolist()
-        for k, (i, r) in enumerate(wall_near):
-            args.append((r - h[m + k]) / obs_r)
-        e = np.exp(np.array(args)).tolist() if args else args
+                    wall_near.append(i)
+        h = np.hypot(hx, hy).tolist()
+        for k, i in enumerate(wall_near):
+            args.append((radii[i] - h[m + k]) / obs_r)
+        e = np.exp(args).tolist()
         # relaxation, summed from +0.0 as bincount does
         ax, ay = [], []
         for i in moving:
@@ -636,7 +730,7 @@ def _run_substeps_small(
                     ay[b] += -fy
         if wall_near:
             wx, wy = [0.0] * m, [0.0] * m
-            for k, (i, _) in enumerate(wall_near):
+            for k, i in enumerate(wall_near):
                 d = h[m + k]
                 if d > _EPS:  # agents never sit inside a blocked cell
                     scale = obs_s * e[len(near) + k] / d
@@ -648,7 +742,7 @@ def _run_substeps_small(
         for i in moving:
             vx[i] += dt * ax[i]
             vy[i] += dt * ay[i]
-        speed = np.hypot(np.array(vx), np.array(vy)).tolist()
+        speed = np.hypot(vx, vy).tolist()
         for i in moving:
             s = speed[i]
             if s > vmax[i]:
@@ -658,9 +752,9 @@ def _run_substeps_small(
             cx, cy = X[i] + dt * vx[i], Y[i] + dt * vy[i]
             X[i], Y[i], vx[i], vy[i], code[i] = _contain_point(
                 env, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
-    pos.put(t.bins, np.array((X[:m], Y[:m])).T)
-    vel.put(t.bins, np.array((vx, vy)).T)
-    tgt.put(t.bins, np.array((tx, ty)).T)
+    pos[t.mv] = np.array((X[:m], Y[:m])).T
+    vel[t.mv] = np.array((vx, vy)).T
+    tgt[t.mv] = np.array((tx, ty)).T
 
 
 def social_force_step(
@@ -1092,13 +1186,15 @@ class Simulation:
         for name, st in self.loc_state.items():
             if st.waiters:
                 gate[[idx for _, idx in st.waiters]] = self.env.location_index[name]
-        substeps = self.config.physics_substeps
-        # one neighbour search and one wall gather per tick; substeps filter them
-        tick = _prepare_tick(pos, speeds, radii, self.config.forces, moving, gate[g_idx],
-                             self.env, self._obstacles, self.tick_length, substeps)
-        small = len(tick.mv) + tick.pairs.shape[1] + len(tick.wall_agent) <= SMALL_TICK_MAX
-        kernel = _run_substeps_small if small else _run_substeps
-        kernel(tick, pos, vel, tgt, self.tick_length / substeps, substeps, self.config.forces,
+        params, substeps = self.config.forces, self.config.physics_substeps
+        args = (pos, speeds, radii, params, moving, gate[g_idx], self.env, self._obstacles,
+                self.tick_length, substeps)
+        # one neighbour search and one wall gather per tick; substeps filter them.  A
+        # small tick is prepared and run in Python floats, any other on arrays
+        tick, kernel = _prepare_small(*args, SMALL_TICK_MAX), _run_substeps_small
+        if tick is None:
+            tick, kernel = _prepare_tick(*args), _run_substeps
+        kernel(tick, pos, vel, tgt, self.tick_length / substeps, substeps, params,
                [self.agents[i] for i in g_idx[tick.mv].tolist()])
         self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
 

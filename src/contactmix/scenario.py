@@ -18,14 +18,16 @@ A scenario is a JSON document with three top-level keys:
     m/s, ``radius`` a body radius in meters.
 
 ``defaults``
-    ``tick_length_s``, the wall-clock length of one simulation tick.
+    ``tick_length_s``, the wall-clock length of one simulation tick; long
+    enough that an hour counts finitely many ticks (``TICK_LENGTH_RULE``).
 
 Workflow steps are ``goto``, ``dwell``, ``queue``, ``cycle`` and ``depart``.
 Distributions are ``{"kind": "constant", "value": v}``,
 ``{"kind": "uniform", "min": a, "max": b}``,
 ``{"kind": "triangular", "min": a, "mode": m, "max": b}`` or
 ``{"kind": "exponential", "mean": m}``.  Dwell distributions are in seconds
-and converted to whole ticks when sampled (half-up rounding).
+and converted to whole ticks when sampled (half-up rounding); a draw whose
+tick count is not a finite float lasts longer than any run.
 
 Parsing is strict: unknown keys, dangling location references and malformed
 distributions are rejected with a message naming the offender.
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Union
@@ -69,6 +72,20 @@ def _finite(v: Any) -> float | None:
 def round_half_up(x: float) -> int:
     # round() would round 2.5 ticks down; schedule math wants half-up.
     return int(math.floor(x + 0.5))
+
+
+# 3600 / t, the ticks in an hour (the hourly series' bucket), overflows for
+# t below about 2.0e-305 s
+TICK_LENGTH_RULE = "finite and > 0, with finitely many ticks in an hour"
+
+
+def valid_tick_length(t: float) -> bool:
+    """Whether ``t`` seconds can be a tick length: ``TICK_LENGTH_RULE``."""
+    return math.isfinite(t) and t > 0 and math.isfinite(3600.0 / t)
+
+
+# more ticks than any run has: the tick count of a dwell beyond the float range
+ENDLESS_DWELL = round_half_up(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -144,10 +161,12 @@ def _parse_distribution(obj: Any, where: str, positive: bool = False) -> Distrib
 def sample_duration(
     dist: Distribution, rng: np.random.Generator, tick_length: float
 ) -> int:
-    """Draw a dwell time in seconds and convert it to whole ticks (half-up)."""
-    seconds = dist.sample(rng)
-    ticks = round_half_up(seconds / tick_length)
-    return max(ticks, 0)
+    """Draw a dwell time in seconds and convert it to whole ticks (half-up).
+    A draw or quotient beyond the float range lasts ``ENDLESS_DWELL`` ticks."""
+    ticks = dist.sample(rng) / tick_length
+    if not math.isfinite(ticks):
+        return ENDLESS_DWELL
+    return max(round_half_up(ticks), 0)
 
 
 # --- workflow steps ---------------------------------------------------------
@@ -560,8 +579,8 @@ def parse_scenario(text: str) -> Scenario:
     if extra:
         _fail(f"defaults: unexpected keys {sorted(extra)}")
     tick = _finite(defaults.get("tick_length_s", 1.0))
-    if tick is None or tick <= 0:
-        _fail("defaults.tick_length_s must be a finite positive number")
+    if tick is None or not valid_tick_length(tick):
+        _fail(f"defaults.tick_length_s must be {TICK_LENGTH_RULE}")
 
     return Scenario(map=env, agent_types=types, tick_length=tick)
 

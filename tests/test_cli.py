@@ -548,6 +548,15 @@ def test_ingest_bad_populations_syntax_exits_1(golden_trace, tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_ingest_bad_populations_exits_1_before_reading_the_trace(tmp_path, capsys):
+    """The trace is missing, which would exit 3: the bad value is found first."""
+    code = run_cli("ingest-trace", "--trace", tmp_path / "nope.csv", "--populations", "bad",
+                   "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == "error: bad --populations entry 'bad'; expected name=count\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_ingest_populations_type_given_twice_exits_1(golden_trace, tmp_path, capsys):
     """A second count for a type is an error, not a silent override."""
     code = run_cli("ingest-trace", "--trace", golden_trace,
@@ -669,7 +678,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 BAD_NUMBERS = [
-    ("--tick-length-s", v) for v in ("0", "-1", "nan", "inf", "x")
+    ("--tick-length-s", v) for v in ("0", "-1", "nan", "inf", "x", "1e-320")
 ] + [
     ("--radius-m", v) for v in ("0", "nan", "inf", "-inf")
 ] + [
@@ -716,6 +725,54 @@ def test_tiny_tick_length_puts_the_run_in_one_bucket(command, clinic, golden_tra
     if command == "ingest-trace":  # the trace is the same; only the bucket length moved
         assert series[0] == series[1]
     assert series[0].count("\n") == 2  # the header and bucket 0
+
+
+@pytest.mark.parametrize("command", ["run", "ingest-trace"])
+def test_a_tick_length_too_short_for_an_hour_exits_1(command, clinic, golden_trace, tmp_path,
+                                                      capsys):
+    """At 1e-320 s a tick, 3600 / tick length overflows: once an OverflowError
+    traceback, mid-run from a dwell (run) or after the whole trace
+    (ingest-trace)."""
+    if command == "run":
+        argv = ["run", "--scenario", clinic, "--ticks", 30]
+    else:
+        argv = ["ingest-trace", "--trace", golden_trace]
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--tick-length-s", "1e-320", "--out", out) == EXIT_INVALID
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["error: argument --tick-length-s: must be finite and > 0, with finitely "
+                      "many ticks in an hour, got '1e-320'"]
+    assert not out.exists()
+
+
+def test_a_scenario_tick_length_too_short_for_an_hour_exits_1(tmp_path, capsys):
+    doc = clinic_doc()
+    doc["defaults"] = {"tick_length_s": 1e-320}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 30, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == ("error: defaults.tick_length_s must be finite and > 0, "
+                                       "with finitely many ticks in an hour\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_dwell_beyond_the_float_range_outlasts_the_run(tmp_path):
+    """A 1e308 s dwell at 0.5 s ticks is more ticks than a float holds (once
+    an OverflowError traceback mid-run); it runs as a 1e300 s dwell does."""
+    bundles = []
+    path = tmp_path / "scenario.json"  # one path: the manifest records it
+    for seconds in (1e308, 1e300):
+        doc = clinic_doc()
+        doc["agent_types"][1]["workflow"][2]["duration"]["value"] = seconds
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / f"o{seconds}"
+        argv = ["run", "--scenario", path, "--ticks", 120, "--tick-length-s", 0.5]
+        assert run_cli(*argv, "--export-frames", "--out", out) == EXIT_OK
+        bundles.append(sorted((f.name, f.read_bytes()) for f in out.iterdir()))
+    assert bundles[0] == bundles[1]
+    m = json.loads((tmp_path / "o1e+308" / "manifest.json").read_text(encoding="utf-8"))
+    assert (m["arrivals"], m["departures"]) == (4, 1)  # the staff member; no visitor leaves
 
 
 @pytest.mark.parametrize("option, value", [("--ticks", "-1"), ("--seed", "-1"), ("--ticks", "2.5")])

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactmix.scenario import (
+    ENDLESS_DWELL,
     Cycle,
     Depart,
     Distribution,
@@ -18,6 +20,7 @@ from contactmix.scenario import (
     round_half_up,
     sample_duration,
     serialize_scenario,
+    valid_tick_length,
 )
 
 MINIMAL = {
@@ -265,6 +268,39 @@ def test_sample_duration_nonnegative_integer():
         for _ in range(200):
             t = sample_duration(dist, rng, 0.7)
             assert isinstance(t, int) and t >= 0
+
+
+@pytest.mark.parametrize("dist, tick_length", [
+    (Distribution("constant", (1e308,)), 0.5),  # the quotient overflows
+    (Distribution("constant", (1.0,)), 1e-320),
+    (Distribution("triangular", (0.0, 0.0, sys.float_info.max)), 1.0),  # numpy draws -inf
+    (Distribution("exponential", (1e308,)), 1.0),  # and, now and then, inf
+])
+def test_a_dwell_beyond_the_float_range_outlasts_any_run(dist, tick_length):
+    """Once an OverflowError from ``round_half_up``: a draw or quotient that
+    is not finite lasts ``ENDLESS_DWELL`` ticks, at least the tick count of
+    any finite dwell."""
+    rng = np.random.default_rng(5)
+    ticks = [sample_duration(dist, rng, tick_length) for _ in range(50)]
+    assert ENDLESS_DWELL in ticks
+    assert all(t == ENDLESS_DWELL or 0 <= t < ENDLESS_DWELL for t in ticks)
+    assert ENDLESS_DWELL > 10**308
+
+
+def test_a_tick_length_counts_finitely_many_ticks_in_an_hour():
+    """3600 / t overflows for t below about 2.0e-305 s."""
+    assert valid_tick_length(1e-300) and valid_tick_length(3e-305)
+    for t in (1e-305, 1e-320, 5e-324, 0.0, -1.0, math.inf, math.nan):
+        assert not valid_tick_length(t), t
+
+
+def test_a_scenario_tick_length_too_short_for_an_hour_is_rejected():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["defaults"] = {"tick_length_s": 1e-320}
+    with pytest.raises(ScenarioError, match=r"^defaults\.tick_length_s must be .* an hour$"):
+        parse_scenario(json.dumps(doc))
+    doc["defaults"] = {"tick_length_s": 3e-305}
+    assert parse_scenario(json.dumps(doc)).tick_length == 3e-305
 
 
 # --- property: serialized form is a fixpoint over generated scenarios --------

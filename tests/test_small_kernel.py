@@ -2,15 +2,18 @@
 
 ``Simulation._physics`` runs a tick with few moving rows, skin pairs and
 listed walls through ``_run_substeps_small``, which keeps the tick in Python
-floats, and any other tick through ``_run_substeps``.  Both must give the
-same bytes: positions, velocities and targets at the end of the tick, the
-waypoint each agent has reached, and the cell code each step carries into
-the next containment.  The ticks are those of ``kernel_case``: walls, gates,
+floats from ``_prepare_small`` on, and any other tick through
+``_prepare_tick`` and ``_run_substeps``.  Both must give the same bytes:
+positions, velocities and targets at the end of the tick, the waypoint each
+agent has reached, and the cell code each step carries into the next
+containment.  The ticks are those of ``kernel_case``: walls, gates,
 coincident agents, slides and corner stops, a -0.0 relaxation term and
 ticks with no wall or no pair in reach.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from contactmix.engine import (
     SimConfig,
     Simulation,
     _build_obstacle_table,
+    _prepare_small,
     _prepare_tick,
     _run_substeps,
     _run_substeps_small,
@@ -51,8 +55,9 @@ def routed_agents(pm, tm):
 
 
 def run_kernel(small, tick, pos, vel, tgt, dt, substeps, params, routed):
-    """Run one kernel on copies; return its arrays, the agents' waypoint
-    indices and, per containment, the cell codes carried in and out."""
+    """Run one kernel on copies, the small one on a tick from
+    ``_prepare_small``; return its arrays, the agents' waypoint indices and,
+    per containment, the cell codes carried in and out."""
     pos, vel, tgt = pos.copy(), vel.copy(), tgt.copy()
     agents = routed_agents(pos[tick.mv], tgt[tick.mv]) if routed else []
     if routed:
@@ -95,12 +100,13 @@ def test_small_kernel_matches_the_array_kernel(case, substeps, routed):
     table = _build_obstacle_table(
         env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
     )
-    tick = _prepare_tick(pos, speeds, radii, params, moving, forbidden, env, table,
-                         tick_length, substeps)
+    prepared = (pos, speeds, radii, params, moving, forbidden, env, table, tick_length, substeps)
+    tick = _prepare_tick(*prepared)
     check(tick)
+    small = _prepare_small(*prepared, math.inf)
     dt = tick_length / substeps
     want = run_kernel(False, tick, pos, vel, targets, dt, substeps, params, routed)
-    got = run_kernel(True, tick, pos, vel, targets, dt, substeps, params, routed)
+    got = run_kernel(True, small, pos, vel, targets, dt, substeps, params, routed)
     for w, g in zip(want[:3], got[:3]):
         assert g.tobytes() == w.tobytes()
     assert got[3] == want[3]  # waypoint indices
@@ -112,22 +118,22 @@ def test_small_kernel_matches_the_array_kernel(case, substeps, routed):
 
 def test_the_small_kernel_runs_the_ticks_it_is_chosen_for(monkeypatch):
     """``Simulation._physics`` picks the small kernel exactly for the ticks
-    whose moving rows, skin pairs and listed walls number at most
-    ``SMALL_TICK_MAX``."""
+    whose moving rows, skin pairs and listed walls, as ``_prepare_tick``
+    lists them, number at most ``SMALL_TICK_MAX``."""
     sizes, small = [], []
-    prepare = engine._prepare_tick
+    prepare_small = engine._prepare_small
 
-    def spy_prepare(*a, **k):
-        t = prepare(*a, **k)
+    def spy_prepare_small(*a):  # called once per tick with a mover, the limit last
+        t = _prepare_tick(*a[:-1])
         sizes.append(len(t.mv) + t.pairs.shape[1] + len(t.wall_agent))
-        return t
+        return prepare_small(*a)
 
     def spy_small(*a, **k):
         small.append(len(sizes) - 1)
         return real_small(*a, **k)
 
     real_small = engine._run_substeps_small
-    monkeypatch.setattr(engine, "_prepare_tick", spy_prepare)
+    monkeypatch.setattr(engine, "_prepare_small", spy_prepare_small)
     monkeypatch.setattr(engine, "_run_substeps_small", spy_small)
     monkeypatch.setattr(engine, "SMALL_TICK_MAX", 12)
     Simulation(load_scenario(CLINIC), SimConfig(ticks=300, seed=1)).run()
