@@ -13,8 +13,6 @@ from .aggregate import (
     agent_matrix,
     effective_chunks,
     hourly_series,
-    matrix_from_csv,
-    max_unique_contacts,
     pair_summaries,
     rescale_per_day,
     transmission_probability,
@@ -23,7 +21,6 @@ from .aggregate import (
 from .contacts import (
     ContactConfig,
     ContactLedger,
-    ContactRecord,
     FrameError,
     NonMonotonicTickError,
     pairs_within,
@@ -55,7 +52,6 @@ __all__ = [
     "ContactConfig",
     "ContactLedger",
     "ContactMatrix",
-    "ContactRecord",
     "Distribution",
     "EnvironmentMap",
     "ForceParameters",
@@ -76,8 +72,6 @@ __all__ = [
     "effective_chunks",
     "hourly_series",
     "load_scenario",
-    "matrix_from_csv",
-    "max_unique_contacts",
     "pair_summaries",
     "pairs_within",
     "parse_scenario",

@@ -27,7 +27,6 @@ compounds to 1 - (1 - p) ** f.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -40,13 +39,6 @@ METRICS = ("count", "duration", "distance")
 # Records that ``hourly_series`` sums per ``bincount`` call: its temporaries
 # stay this size however many records the ledger holds.
 SERIES_SLICE = 1 << 15
-
-
-def max_unique_contacts(n_a: int, n_b: int) -> int:
-    """Largest possible number of distinct in-contact pairs across two groups."""
-    if n_a < 0 or n_b < 0:
-        raise ValueError("group sizes must be >= 0")
-    return n_a * n_b + math.comb(n_a, 2) + math.comb(n_b, 2)
 
 
 @dataclass(frozen=True)
@@ -174,20 +166,6 @@ class ContactMatrix:
             "col_labels": list(self.col_labels),
             "values": values,
         }
-
-
-def matrix_from_csv(text: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
-    """Inverse of ContactMatrix.to_csv: (rows, cols, values, defined)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    # an empty matrix serializes as a bare corner cell: header "," with no labels
-    cols = [c for c in lines[0].split(",")[1:] if c]
-    rows, vals, defined = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        rows.append(parts[0])
-        vals.append([float(p) if p else np.nan for p in parts[1:]])
-        defined.append([bool(p) for p in parts[1:]])
-    return rows, cols, np.array(vals, dtype=float), np.array(defined, dtype=bool)
 
 
 # --- matrix builders ---------------------------------------------------------

@@ -7,12 +7,12 @@ duration and running mean distance.  The tick the pair separates, the record
 is closed but kept; if the pair meets again later a fresh record is opened,
 so one pair can contribute several contacts over a run.
 
-Pairs come from one search.  ``pairs_within`` takes every pair of a frame
-of at most ``BRUTE_FORCE_MAX_N`` points as a candidate; for a larger frame,
-and for the batch of ``pairs_within_frames``, the candidates are the points
-in the same or adjacent cells of a uniform grid with cell edge equal to the
-radius.  Either way one distance test keeps the candidates in range and one
-sort orders them by (frame, id_a, id_b), so every path gives the same bytes.
+Pairs come from one search, the cell list of Allen & Tildesley (ch. 5):
+the candidates are the points in the same or adjacent cells of a uniform
+grid with cell edge equal to the radius, one distance test keeps those in
+range and one sort orders them by (frame, id_a, id_b).  ``pairs_within`` is
+the one-frame case of the batch ``pairs_within_frames`` searches, so both
+give the same bytes.
 
 Frames must arrive in dense tick order.  Closed records are never revised.
 A frame the ledger cannot accept raises ``FrameError`` and changes nothing.
@@ -27,7 +27,6 @@ the roster, since an agent never changes type.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,20 +87,6 @@ def _expand_blocks(
     q += np.repeat(g_start[ga], m)
     r += np.repeat(g_start[gb], m)
     return q, r
-
-
-# Up to this many points every pair is a candidate: with about 3 neighbours
-# per point the upper triangle beats building a grid (2-vCPU VM: 26 against
-# 182 us at n = 14, 83 against 174 us at n = 128); the grid wins by n = 160.
-BRUTE_FORCE_MAX_N = 128
-
-
-@functools.lru_cache(maxsize=2)  # one n per tick is typical; each entry is O(n^2)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
 
 
 # Cell indices are clipped to +-this before the int64 cast, so that one
@@ -198,8 +183,11 @@ def _grid_search(
     candidate.  In a batch the cell key packs (frame, cx, cy), and each
     frame's range of keys is wider than a stencil offset reaches, so every
     candidate pairs two points of one frame.  Returns None when a batch's
-    keys would not fit in an int64.
+    keys would not fit in an int64.  Raises ValueError unless the radius
+    is finite and > 0.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and > 0")
     if len(ids) < 2:
         empty = np.empty(0, dtype=np.int64)
         return _in_range(ids, positions, radius, empty, empty, frame, n_frames)
@@ -223,16 +211,11 @@ def _grid_search(
 def pairs_within(
     ids: np.ndarray, positions: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All unordered pairs with distance <= radius, sorted by (min id, max id).
-
-    Up to BRUTE_FORCE_MAX_N points, every pair of the upper triangle is a
-    candidate; above that, ``_grid_search`` of this one frame supplies them.
-    Both paths share the distance test and the sort, so they return the
-    same bytes.  Returns (id_a, id_b, distance) with id_a < id_b elementwise.
+    """All unordered pairs with distance <= radius, sorted by (min id, max id):
+    ``_grid_search`` of this one frame, whose cell keys always fit.  Returns
+    (id_a, id_b, distance) with id_a < id_b elementwise.
     """
-    if len(ids) > BRUTE_FORCE_MAX_N:
-        return _grid_search(ids, positions, radius)[:3]
-    return _in_range(ids, positions, radius, *_upper_triangle(len(ids)))[:3]
+    return _grid_search(ids, positions, radius)[:3]
 
 
 def pairs_within_frames(
@@ -255,21 +238,6 @@ def pairs_within_frames(
     a, b, dist, frame = found
     ends = np.cumsum(np.bincount(frame, minlength=len(frames))).tolist()
     return [(a[s:e], b[s:e], dist[s:e]) for s, e in zip([0] + ends[:-1], ends)]
-
-
-@dataclass(frozen=True)
-class ContactRecord:
-    """A read-only view of one logged contact episode."""
-
-    id_a: int
-    id_b: int
-    type_a: int
-    type_b: int
-    start_tick: int
-    last_updated_tick: int
-    duration: int
-    mean_distance: float
-    in_session: bool
 
 
 class ContactLedger:
@@ -447,27 +415,6 @@ class ContactLedger:
         types = np.fromiter(self._type_of.values(), dtype=np.int32, count=len(roster))
         order = np.argsort(roster)
         return types[order][np.searchsorted(roster[order], ids)]
-
-    def records(self) -> list[ContactRecord]:
-        c = self.columns()
-        return [
-            ContactRecord(
-                id_a=int(c["id_a"][i]),
-                id_b=int(c["id_b"][i]),
-                type_a=int(c["type_a"][i]),
-                type_b=int(c["type_b"][i]),
-                start_tick=int(c["start"][i]),
-                last_updated_tick=int(c["last"][i]),
-                duration=int(c["duration"][i]),
-                mean_distance=float(c["dist_sum"][i] / c["duration"][i]),
-                in_session=bool(c["open"][i]),
-            )
-            for i in range(self._n)
-        ]
-
-    def records_between(self, id_a: int, id_b: int) -> list[ContactRecord]:
-        lo, hi = min(id_a, id_b), max(id_a, id_b)
-        return [r for r in self.records() if r.id_a == lo and r.id_b == hi]
 
     def agents(self) -> dict[int, int]:
         """Agent id -> type index, in order of first appearance."""

@@ -99,6 +99,7 @@ from .scenario import (
     Location,
     Queue,
     Scenario,
+    ScenarioError,
     sample_duration,
 )
 
@@ -209,6 +210,20 @@ def _tick_travel(desired_speeds: np.ndarray, params: ForceParameters, tick_lengt
     """The farthest one agent moves in a tick: a substep moves it by at most
     dt times its capped speed, and containment only shortens a step."""
     return params.max_speed_factor * float(np.abs(desired_speeds).max(initial=0.0)) * tick_length
+
+
+def _speed_overflows(
+    desired_speed: float, params: ForceParameters, tick_length: float, substeps: int
+) -> bool:
+    """Whether a desired speed is not finite or can overflow the physics: a
+    substep's velocity, at most the capped speed plus dt times the
+    relaxation term, or the skin radius, which sums two agents' travel over
+    every substep.  The factor 2 leaves room for the hypot, the forces and
+    the map's extent."""
+    f, dt = params.max_speed_factor, tick_length / substeps
+    velocity = desired_speed * (f + dt * (1.0 + f) / params.relaxation_time)
+    skin = 2.0 * f * desired_speed * tick_length * (substeps + 1)
+    return not math.isfinite(2.0 * max(velocity, skin))
 
 
 def _widened(radius: float, travel: float, extent: float, substeps: int) -> float:
@@ -942,7 +957,13 @@ class Simulation:
             for i in range(spec.population):
                 index = len(self.agents)
                 rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-                v0.append(spec.desired_speed.sample(rng))  # each stream's first draw
+                speed = spec.desired_speed.sample(rng)  # each stream's first draw
+                if _speed_overflows(speed, config.forces, self.tick_length,
+                                    config.physics_substeps):
+                    raise ScenarioError(
+                        f"agent_types[{t_idx}].desired_speed: drew {speed!r} m/s, too fast "
+                        "to integrate: a substep's velocity or search radius would overflow")
+                v0.append(speed)
                 types.append(t_idx)
                 self.agents.append(_Agent(index, spec.workflow, rng))
                 self._arrival_schedule.setdefault(spec.arrival[i], []).append(index)

@@ -81,6 +81,30 @@ def replay_records(frames, radius):
     return done
 
 
+# --- output readers and counts ---------------------------------------------------
+
+
+def matrix_from_csv(text):
+    """Inverse of ContactMatrix.to_csv: (rows, cols, values, defined)."""
+    lines = [ln for ln in text.splitlines() if ln]
+    # an empty matrix serializes as a bare corner cell: header "," with no labels
+    cols = [c for c in lines[0].split(",")[1:] if c]
+    rows, vals, defined = [], [], []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        rows.append(parts[0])
+        vals.append([float(p) if p else np.nan for p in parts[1:]])
+        defined.append([bool(p) for p in parts[1:]])
+    return rows, cols, np.array(vals, dtype=float), np.array(defined, dtype=bool)
+
+
+def max_unique_contacts(n_a, n_b):
+    """Largest possible number of distinct in-contact pairs across two groups."""
+    if n_a < 0 or n_b < 0:
+        raise ValueError("group sizes must be >= 0")
+    return n_a * n_b + math.comb(n_a, 2) + math.comb(n_b, 2)
+
+
 # --- golden 8-agent, 3-tick fixture -------------------------------------------
 
 GOLDEN_TYPES = ("host", "green", "yellow", "blue")

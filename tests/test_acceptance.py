@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from contactmix.aggregate import max_unique_contacts, transmission_probability
+from contactmix.aggregate import transmission_probability
 from contactmix.aggregate import ContactMatrix
 from contactmix.cli import EXIT_OK, main
 from contactmix.contacts import ContactConfig, ContactLedger, pairs_within
@@ -25,7 +25,7 @@ from contactmix.frames import TickFrame
 from contactmix.report import build_matrices
 from contactmix.scenario import load_scenario, parse_scenario
 
-from conftest import GOLDEN_IDS
+from conftest import GOLDEN_IDS, max_unique_contacts
 
 CLINIC = "src/contactmix/data/clinic.json"
 

@@ -10,8 +10,6 @@ from contactmix.aggregate import (
     agent_matrix,
     effective_chunks,
     hourly_series,
-    matrix_from_csv,
-    max_unique_contacts,
     pair_summaries,
     rescale_per_day,
     transmission_probability,
@@ -20,7 +18,9 @@ from contactmix.aggregate import (
 from contactmix.contacts import ContactConfig, ContactLedger
 from contactmix.frames import TickFrame
 
-from conftest import GOLDEN_AGENTS, GOLDEN_IDS, GOLDEN_TYPE_OF
+from conftest import (
+    GOLDEN_AGENTS, GOLDEN_IDS, GOLDEN_TYPE_OF, matrix_from_csv, max_unique_contacts,
+)
 
 GOLDEN_POPS = {"host": 1, "green": 2, "yellow": 2, "blue": 3}
 
@@ -349,10 +349,11 @@ def test_hourly_series_conservation(golden):
     series = hourly_series(led, 2, GOLDEN_POPS)
     # bucket sums must equal raw (unnormalized) per-type-pair durations
     totals = {}
-    for r in led.records():
-        names = led.type_names
-        key = tuple(sorted((names[r.type_a], names[r.type_b])))
-        totals[key] = totals.get(key, 0) + r.duration
+    c, names = led.columns(), led.type_names
+    for type_a, type_b, duration in zip(c["type_a"].tolist(), c["type_b"].tolist(),
+                                        c["duration"].tolist()):
+        key = tuple(sorted((names[type_a], names[type_b])))
+        totals[key] = totals.get(key, 0) + duration
     for pair, vec in series.items():
         want = totals.get(tuple(sorted(pair)), 0)
         assert vec.sum() == want

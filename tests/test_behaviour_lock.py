@@ -31,7 +31,7 @@ import pytest
 
 from contactmix import engine
 from contactmix.cli import EXIT_OK, main
-from contactmix.contacts import BRUTE_FORCE_MAX_N, ContactConfig, ContactLedger
+from contactmix.contacts import ContactConfig, ContactLedger
 from contactmix.engine import SimConfig, run
 
 from test_acceptance import _mixing_scenario
@@ -124,7 +124,7 @@ def clinic_digests(workdir: Path) -> dict[str, str]:
     return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
 
 
-INGEST_WEARERS = 150  # above BRUTE_FORCE_MAX_N, so detection uses the grid
+INGEST_WEARERS = 150
 INGEST_TICKS = 240  # four 60-tick buckets at a 60 s tick
 INGEST_TYPES = ("porter", "nurse", "patient", "doctor")
 
@@ -230,7 +230,6 @@ def crowd_scenario_doc() -> dict:
 
 def crowd_digests(workdir: Path) -> dict[str, str]:
     """Every bundle file of ``run`` on the two-room crowd, seed 7."""
-    assert CROWD_TYPES * CROWD_PER_TYPE > BRUTE_FORCE_MAX_N
     (workdir / "crowd.json").write_text(json.dumps(crowd_scenario_doc()), encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(workdir)

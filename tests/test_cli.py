@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import contactmix.__main__
 from contactmix import cli
-from contactmix.aggregate import matrix_from_csv
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from contactmix.frames import ROWS, write_frames
 
-from conftest import GOLDEN_IDS
+from conftest import GOLDEN_IDS, matrix_from_csv
 
 MATRIX_FILES = [
     "agent_count.csv",
@@ -420,6 +419,39 @@ def test_a_very_fast_agent_type_runs(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["arrivals"] == 3
+
+
+SHIPPED_CLINIC = Path(__file__).resolve().parents[1] / "src" / "contactmix" / "data" / "clinic.json"
+
+
+def shipped_clinic_at_speed(tmp_path, desired_speed):
+    doc = json.loads(SHIPPED_CLINIC.read_text(encoding="utf-8"))
+    for spec in doc["agent_types"]:
+        spec["desired_speed"] = desired_speed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("desired_speed", [
+    {"kind": "constant", "value": 1e308}, {"kind": "exponential", "mean": 1e308},
+])
+def test_a_speed_whose_substep_overflows_exits_1(desired_speed, tmp_path, capsys):
+    """Once an IndexError traceback: the relaxation term overflowed to inf
+    and the speed cap made the velocity NaN."""
+    path = shipped_clinic_at_speed(tmp_path, desired_speed)
+    code = run_cli("run", "--scenario", path, "--ticks", 60, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert re.match(r"error: agent_types\[0\]\.desired_speed: drew \S+e\+30[78] m/s", err), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_huge_speed_that_fits_runs(tmp_path):
+    path = shipped_clinic_at_speed(tmp_path, {"kind": "constant", "value": 1e200})
+    code = run_cli("run", "--scenario", path, "--ticks", 60, "--out", tmp_path / "o")
+    assert code == EXIT_OK
 
 
 # (where in the scenario document, key at fault): json reads NaN, Infinity

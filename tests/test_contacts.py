@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactmix import contacts
 from contactmix.contacts import (
     ContactConfig,
     ContactLedger,
     FrameError,
     NonMonotonicTickError,
     pairs_within,
+    pairs_within_frames,
 )
 from contactmix.frames import TickFrame, TraceFormatError, read_frames, write_frames
 
@@ -82,8 +82,19 @@ def test_coincident_agents_found():
     assert d[0] == 0.0
 
 
+@pytest.mark.parametrize("n", [10, 200])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_a_radius_that_is_not_finite_and_positive_is_rejected(radius, n):
+    rng = np.random.default_rng(n)
+    ids, pos = np.arange(n, dtype=np.int64), rng.uniform(0.0, 5.0, size=(n, 2))
+    with pytest.raises(ValueError, match=r"^radius must be finite and > 0$"):
+        pairs_within(ids, pos, radius)
+    with pytest.raises(ValueError, match=r"^radius must be finite and > 0$"):
+        pairs_within_frames([frame(0, ids, pos)], radius)
+
+
 @given(
-    st.integers(2, 300),  # both sides of BRUTE_FORCE_MAX_N
+    st.integers(2, 300),
     st.floats(0.3, 5.0),
     st.integers(0, 2**32 - 1),
 )
@@ -101,24 +112,9 @@ def test_grid_matches_brute_force_property(n, radius, seed):
     assert got == want
 
 
-@pytest.mark.parametrize("n", [2, 14, 128, 129, 300])
-def test_triangle_and_grid_paths_return_same_bytes(n, monkeypatch):
-    rng = np.random.default_rng(n)
-    ids = rng.permutation(3 * n)[:n].astype(np.int64)
-    pos = rng.uniform(0.0, np.sqrt(n * 4.0), size=(n, 2))
-    pos[n // 2] = pos[0]  # one coincident pair
-    results = []
-    for limit in (0, 10**9):  # grid only, then triangle only
-        monkeypatch.setattr(contacts, "BRUTE_FORCE_MAX_N", limit)
-        results.append(pairs_within(ids, pos, 2.0))
-    (ga, gb, gd), (ta, tb, td) = results
-    assert len(ga) > 0
-    assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
-
-
 # Pairs are sorted by one packed int64 key while the id span w (max - min + 1)
 # has w^2 < 2^62, that is w < 2^31, and by np.lexsort beyond.
-@pytest.mark.parametrize("n", [40, 300])  # both sides of BRUTE_FORCE_MAX_N
+@pytest.mark.parametrize("n", [40, 300])
 @pytest.mark.parametrize("base, width", [
     (0, 2**31 - 1), (0, 2**31), (-2**40, 2**31 - 1), (-2**40, 2**31), (-7, 5000),
     (-2**63, 2**64),
@@ -144,21 +140,19 @@ def test_sort_on_both_sides_of_the_packing_limit(n, base, width, monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("radius", [2.0, 1e-300])
-def test_far_points_warn_nothing_and_keep_their_pairs(radius, monkeypatch):
+def test_far_points_warn_nothing_and_keep_their_pairs(radius):
     """Points whose offsets overflow when squared and whose cells overflow
     an int64 (at a tiny radius, whose cell quotient is inf), among ordinary
-    ones: both paths keep every pair in range, with the same bytes."""
+    ones: the search keeps every pair in range, with the same bytes for the
+    frame alone and in a batch."""
     rng = np.random.default_rng(4)
     pos = rng.uniform(0.0, 20.0, size=(130, 2))
     pos[:4] = [[1e300, 1e300], [1e300, 1e300], [-1e300, 5.0], [1e300, -1e300]]
     pos[4:7] = [[1e15, 3.0], [1e15, 3.0], [-1e15, -1e15]]
     pos[7] = pos[8]
     ids = np.arange(130, dtype=np.int64)[::-1].copy()
-    results = []
-    for limit in (0, 10**9):  # grid only, then triangle only
-        monkeypatch.setattr(contacts, "BRUTE_FORCE_MAX_N", limit)
-        results.append(pairs_within(ids, pos, radius))
-    (ga, gb, gd), (ta, tb, td) = results
+    ga, gb, gd = pairs_within(ids, pos, radius)
+    [(ta, tb, td)] = pairs_within_frames([frame(0, ids, pos)], radius)
     assert np.array_equal(ga, ta) and np.array_equal(gb, tb) and np.array_equal(gd, td)
     pairs = set(zip(ga.tolist(), gb.tolist()))
     assert {(128, 129), (124, 125), (121, 122)} <= pairs
@@ -169,6 +163,18 @@ def test_far_points_warn_nothing_and_keep_their_pairs(radius, monkeypatch):
 
 def make_ledger(radius=2.0, **kw):
     return ContactLedger(ContactConfig(effective_radius=radius, **kw))
+
+
+def records_by_pair(led):
+    """(id_a, id_b) -> the pair's records in record order, each a dict of
+    its ``led.columns()`` entries as Python scalars, with ``mean``."""
+    c = {k: v.tolist() for k, v in led.columns().items()}
+    out: dict = {}
+    for i in range(led.n_records):
+        r = {k: v[i] for k, v in c.items()}
+        r["mean"] = r["dist_sum"] / r["duration"]
+        out.setdefault((r["id_a"], r["id_b"]), []).append(r)
+    return out
 
 
 def test_config_validation():
@@ -191,66 +197,66 @@ def test_running_mean_and_duration(golden):
     led = make_ledger()
     for f in golden[:1]:
         led.observe(f)
-    rec = led.records_between(0, 2)  # host-G2
+    rec = records_by_pair(led)[(0, 2)]  # host-G2
     assert len(rec) == 1
-    assert rec[0].duration == 1
-    assert rec[0].mean_distance == pytest.approx(1.50, abs=1e-12)
+    assert rec[0]["duration"] == 1
+    assert rec[0]["mean"] == pytest.approx(1.50, abs=1e-12)
 
     led.observe(golden[1])
-    rec = led.records_between(0, 2)
-    assert rec[0].duration == 2
-    assert rec[0].mean_distance == pytest.approx(1.75, abs=1e-12)
-    assert rec[0].in_session
+    rec = records_by_pair(led)[(0, 2)]
+    assert rec[0]["duration"] == 2
+    assert rec[0]["mean"] == pytest.approx(1.75, abs=1e-12)
+    assert rec[0]["open"]
 
     led.observe(golden[2])
-    rec = led.records_between(0, 2)
-    assert rec[0].duration == 3
-    assert rec[0].mean_distance == pytest.approx(1.70, abs=1e-12)
-    assert rec[0].start_tick == 0
-    assert rec[0].last_updated_tick == 2
+    rec = records_by_pair(led)[(0, 2)]
+    assert rec[0]["duration"] == 3
+    assert rec[0]["mean"] == pytest.approx(1.70, abs=1e-12)
+    assert rec[0]["start"] == 0
+    assert rec[0]["last"] == 2
 
 
 def test_reentry_creates_new_record(golden):
     led = make_ledger()
     for f in golden:
         led.observe(f)
-    recs = led.records_between(0, 3)  # host-Y1: ticks {0} and {2}
+    recs = records_by_pair(led)[(0, 3)]  # host-Y1: ticks {0} and {2}
     assert len(recs) == 2
-    first, second = recs
-    assert (first.start_tick, first.last_updated_tick, first.duration) == (0, 0, 1)
-    assert first.mean_distance == pytest.approx(0.90, abs=1e-12)
-    assert not first.in_session
-    assert (second.start_tick, second.duration) == (2, 1)
-    assert second.mean_distance == pytest.approx(1.10, abs=1e-12)
-    assert second.in_session
+    assert (recs[0]["start"], recs[0]["last"], recs[0]["duration"]) == (0, 0, 1)
+    assert recs[0]["mean"] == pytest.approx(0.90, abs=1e-12)
+    assert not recs[0]["open"]
+    assert (recs[1]["start"], recs[1]["duration"]) == (2, 1)
+    assert recs[1]["mean"] == pytest.approx(1.10, abs=1e-12)
+    assert recs[1]["open"]
 
 
 def test_leaving_radius_closes_record(golden):
     led = make_ledger()
     for f in golden:
         led.observe(f)
-    recs = led.records_between(0, 5)  # host-B1: ticks {0, 1}, out at 2
+    recs = records_by_pair(led)[(0, 5)]  # host-B1: ticks {0, 1}, out at 2
     assert len(recs) == 1
-    r = recs[0]
-    assert (r.duration, r.in_session) == (2, False)
-    assert r.mean_distance == pytest.approx(0.90, abs=1e-12)
-    assert r.last_updated_tick == 1
+    assert (recs[0]["duration"], recs[0]["open"]) == (2, False)
+    assert recs[0]["mean"] == pytest.approx(0.90, abs=1e-12)
+    assert recs[0]["last"] == 1
 
 
 def test_finalize_closes_and_is_idempotent(golden):
     led = make_ledger()
     for f in golden:
         led.observe(f)
-    open_before = sum(r.in_session for r in led.records())
+    open_before = int(led.columns()["open"].sum())
     assert open_before > 0
     led.finalize(2)
-    snap = led.records()
-    assert all(not r.in_session for r in snap)
+    snap = led.columns()
+    assert not snap["open"].any()
     led.finalize(2)
-    assert led.records() == snap
-    durations = [r.duration for r in snap]
+    again = led.columns()
+    assert again.keys() == snap.keys()
+    assert all(np.array_equal(again[k], snap[k]) for k in snap)
+    durations = snap["duration"].tolist()
     led.finalize(5)
-    assert [r.duration for r in led.records()] == durations
+    assert led.columns()["duration"].tolist() == durations
 
 
 def test_finalize_cannot_rewind(golden):
@@ -303,7 +309,8 @@ def test_rejected_frame_leaves_ledger_unchanged(case):
     # so the corrected frame for tick 1 is accepted
     led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
     led.finalize(1)
-    assert [(r.id_a, r.id_b, r.duration) for r in led.records()] == [(4, 9, 2)]
+    c = led.columns()
+    assert list(zip(c["id_a"].tolist(), c["id_b"].tolist(), c["duration"].tolist())) == [(4, 9, 2)]
     assert (led.type_names, led.agents()) == (["only"], {4: 0, 9: 0})
 
 
@@ -319,9 +326,9 @@ def test_absent_agents_close_naturally():
     led = make_ledger()
     led.observe(frame(0, [1, 2], [[0.0, 0.0], [1.0, 0.0]]))
     led.observe(frame(1, [1], [[0.0, 0.0]]))  # agent 2 off-site
-    recs = led.records_between(1, 2)
-    assert len(recs) == 1 and not recs[0].in_session
-    assert recs[0].duration == 1
+    recs = records_by_pair(led)[(1, 2)]
+    assert len(recs) == 1 and not recs[0]["open"]
+    assert recs[0]["duration"] == 1
 
 
 def test_observed_populations(golden):
@@ -337,18 +344,16 @@ def test_ledger_matches_offline_replay(golden):
         led.observe(f)
     led.finalize(2)
     want = replay_records(golden, GOLDEN_RADIUS)
-    got: dict = {}
-    for r in led.records():
-        got.setdefault((r.id_a, r.id_b), []).append(r)
+    got = records_by_pair(led)
     assert set(got) == set(want)
     for key, recs in got.items():
         assert len(recs) == len(want[key])
         for r, w in zip(recs, want[key]):
-            assert r.start_tick == w["start"]
-            assert r.last_updated_tick == w["last"]
-            assert r.duration == w["duration"]
+            assert r["start"] == w["start"]
+            assert r["last"] == w["last"]
+            assert r["duration"] == w["duration"]
             mean = sum(w["distances"]) / len(w["distances"])
-            assert r.mean_distance == pytest.approx(mean, abs=1e-9)
+            assert r["mean"] == pytest.approx(mean, abs=1e-9)
 
 
 # random walks: ledger vs the offline oracle, gap and count-bound properties
@@ -411,9 +416,7 @@ def test_ledger_replay_property(frames):
     assert not led.columns()["open"].any()
 
     want = replay_records(frames, 2.0)
-    per_pair: dict = {}
-    for r in led.records():
-        per_pair.setdefault((r.id_a, r.id_b), []).append(r)
+    per_pair = records_by_pair(led)
 
     assert set(per_pair) == set(want)
     horizon = last + 1
@@ -421,17 +424,17 @@ def test_ledger_replay_property(frames):
         oracle = want[key]
         assert len(recs) == len(oracle)
         for r, w in zip(recs, oracle):
-            assert (r.start_tick, r.last_updated_tick, r.duration) == (
+            assert (r["start"], r["last"], r["duration"]) == (
                 w["start"], w["last"], w["duration"],
             )
-            assert r.duration == r.last_updated_tick - r.start_tick + 1
+            assert r["duration"] == r["last"] - r["start"] + 1
             mean = sum(w["distances"]) / len(w["distances"])
-            assert r.mean_distance == pytest.approx(mean, abs=1e-9)
+            assert r["mean"] == pytest.approx(mean, abs=1e-9)
         # gap >= 2 between consecutive records of a pair
         for prev, nxt in zip(recs, recs[1:]):
-            assert nxt.start_tick >= prev.last_updated_tick + 2
+            assert nxt["start"] >= prev["last"] + 2
         assert len(recs) <= math.ceil(horizon / 2)
-        assert sum(r.duration for r in recs) <= horizon
+        assert sum(r["duration"] for r in recs) <= horizon
 
 
 # --- trace format ---------------------------------------------------------------
@@ -492,7 +495,7 @@ def test_observe_rejects_non_finite_position(bad):
     # the rejected frame left the ledger untouched: tick 1 is still next
     led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
     led.finalize(1)
-    assert [r.duration for r in led.records()] == [2]
+    assert led.columns()["duration"].tolist() == [2]
 
 
 def test_trace_duplicate_agent_rejected():

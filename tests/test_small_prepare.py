@@ -19,7 +19,6 @@ import math
 import numpy as np
 import pytest
 
-from contactmix.contacts import BRUTE_FORCE_MAX_N
 from contactmix.engine import (
     _NO_GATE,
     ForceParameters,
@@ -93,9 +92,9 @@ def test_the_small_preparation_lists_what_prepare_tick_does(case, substeps):
 @pytest.mark.parametrize("fraction", [0.03, 0.17, 1.0])
 @pytest.mark.parametrize("seed", range(3))
 def test_the_small_preparation_matches_the_grid_search(fraction, seed):
-    """More agents than ``pairs_within`` compares pair by pair, some gated,
-    a few or all of them moving; then the same tick without gates."""
-    n = BRUTE_FORCE_MAX_N + 30
+    """158 agents, some gated, a few or all of them moving; then the same
+    tick without gates."""
+    n = 158
     params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
         gated_setup(n, seed, fraction))
     args = tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, 10, ENV)
