@@ -32,6 +32,10 @@ every location, -2 where blocked and on a ring around the map.  Routes are
 memoised per (start cell, goal cell); A* on a static map always returns the
 same path.
 
+Every physics array is indexed by agent: ``Simulation._physics`` hands the
+preparations and kernels its own arrays with the present and moving rows,
+and the kernels write the moving rows in place.
+
 One kernel call runs all the substeps of a tick, and there are two kernels
 with the same bytes, each with its own preparation.  ``_prepare_tick``
 makes the tick's arrays, and ``_run_substeps`` keeps the moving rows'
@@ -179,7 +183,7 @@ class SimulationFault(RuntimeError):
 
 
 def _pair_direction(i: int, j: int) -> tuple[float, float]:
-    """Deterministic unit vector used when two agents coincide exactly."""
+    """Deterministic unit vector used when agents ``i`` < ``j`` coincide exactly."""
     t = ((i + 1) * GOLDEN + (j + 1) * GOLDEN * GOLDEN) % 1.0
     a = 2.0 * math.pi * t
     return math.cos(a), math.sin(a)
@@ -206,10 +210,11 @@ def _obstacle_radius(max_radius: float, params: ForceParameters, cs: float) -> f
     return max_radius + 4.0 * params.obstacle_range + cs * 0.7072
 
 
-def _tick_travel(desired_speeds: np.ndarray, params: ForceParameters, tick_length: float) -> float:
-    """The farthest one agent moves in a tick: a substep moves it by at most
-    dt times its capped speed, and containment only shortens a step."""
-    return params.max_speed_factor * float(np.abs(desired_speeds).max(initial=0.0)) * tick_length
+def _tick_travel(top_speed: float, params: ForceParameters, tick_length: float) -> float:
+    """The farthest an agent of desired speed at most ``top_speed`` moves in a
+    tick: a substep moves it by at most dt times its capped speed, and
+    containment only shortens a step."""
+    return params.max_speed_factor * top_speed * tick_length
 
 
 def _speed_overflows(
@@ -367,20 +372,10 @@ def _contain(
     return end
 
 
-def _agent_cutoff(radii: np.ndarray, params: ForceParameters) -> float:
-    """Distance beyond which agent-agent repulsion is ignored."""
-    return 2.0 * float(radii.max()) + 8.0 * params.repulsion_range
-
-
-def _skin_radius(
-    cutoff: float, positions: np.ndarray, desired_speeds: np.ndarray, params: ForceParameters,
-    tick_length: float, substeps: int,
-) -> float:
-    """Search radius that finds, at the start of a tick, every pair that comes
-    within ``cutoff`` at any substep of it: two agents close in by at most
-    twice the travel of one."""
-    travel = 2.0 * _tick_travel(desired_speeds, params, tick_length)
-    return _widened(cutoff, travel, float(np.abs(positions).max()), substeps)
+def _agent_cutoff(top_radius: float, params: ForceParameters) -> float:
+    """Distance beyond which repulsion between agents of radius at most
+    ``top_radius`` is ignored."""
+    return 2.0 * top_radius + 8.0 * params.repulsion_range
 
 
 def _near_pairs(
@@ -429,10 +424,12 @@ class _Tick:
 
 def _prepare_tick(
     pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
-    moving: np.ndarray, forbidden: np.ndarray | None, env: EnvironmentMap | None,
+    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, env: EnvironmentMap | None,
     table: _ObstacleTable | None, tick_length: float, substeps: int,
 ) -> _Tick:
-    """The per-tick state of agents standing at ``pos`` when a tick starts.
+    """The per-tick state of the agents ``present`` (ascending rows) when a
+    tick starts; ``moving`` flags rows of present agents, and ``gate`` holds
+    per row the location index it may not enter, or ``_NO_GATE``.
 
     Frozen agents stay force sources, but a pair of two frozen agents changes
     nothing.  Each moving agent's walls come from the table cell it starts
@@ -440,27 +437,30 @@ def _prepare_tick(
     With a map, every substep of the tick runs containment.
     """
     mv = np.nonzero(moving)[0]
-    cutoff = _agent_cutoff(radii, params)
-    skin = _skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
-    pairs = np.array(pairs_within(np.arange(len(pos), dtype=np.int64), pos, skin)[:2])
+    at = pos[present]
+    top = float(radii[present].max())
+    cutoff = _agent_cutoff(top, params)
+    travel = _tick_travel(float(np.abs(speeds[present]).max()), params, tick_length)
+    # two agents close in by at most twice the travel of one
+    skin = _widened(cutoff, 2.0 * travel, float(np.abs(at).max()), substeps)
+    pairs = np.array(pairs_within(present, at, skin)[:2])
     # C order: boolean indexing returns Fortran order, which makes each
     # substep's take of pair columns from pair_bins several times slower
     pairs = np.ascontiguousarray(pairs[:, moving[pairs[0]] | moving[pairs[1]]])
-    fb = np.full(len(mv), -1) if forbidden is None else forbidden[mv]
     vmax = params.max_speed_factor * speeds[mv]
     r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))
     if env is not None:
-        radius = _obstacle_radius(float(radii.max()), params, table.cell_size)
-        _check_table(table, radius, _tick_travel(speeds, params, tick_length))
+        radius = _obstacle_radius(top, params, table.cell_size)
+        _check_table(table, radius, travel)
         r2 = radius * radius
         agent, wall = _gather_walls(table, pos[mv])
         walls = table.box.take(wall, 0).transpose(1, 0, 2)
     return _Tick(
         mv=mv, speeds=speeds[mv], vmax=vmax, pairs=pairs,
         pair_r=radii[pairs[0]] + radii[pairs[1]], bins=2 * mv[:, None] + _XY,
-        pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, env=env,
-        gate=np.where(fb >= 0, fb, _NO_GATE), r2=r2, wall_agent=agent,
-        wall_bins=2 * agent[:, None] + _XY, wall_r=radii[mv][agent], walls=walls,
+        pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, env=env, gate=gate[mv], r2=r2,
+        wall_agent=agent, wall_bins=2 * agent[:, None] + _XY, wall_r=radii[mv][agent],
+        walls=walls,
     )
 
 
@@ -600,24 +600,25 @@ class _SmallTick:
 
 def _prepare_small(
     pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
-    moving: np.ndarray, forbidden: np.ndarray | None, env: EnvironmentMap,
+    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, env: EnvironmentMap,
     table: _ObstacleTable, tick_length: float, substeps: int, limit: float,
 ) -> _SmallTick | None:
     """``_prepare_tick`` in Python floats, for ``_run_substeps_small``; None
     once the moving rows, skin pairs and listed walls number more than
     ``limit``.
 
-    Each scalar is computed with the operations of ``_prepare_tick``'s
-    helpers, and the skin test is ``pairs_within``'s, so the pairs, walls
-    and cutoffs are the ones ``_prepare_tick`` lists, bit for bit.
+    The scalars come from ``_prepare_tick``'s helpers on the same maxima, and
+    the skin test is ``pairs_within``'s, so the pairs, walls and cutoffs are
+    the ones ``_prepare_tick`` lists, bit for bit.
     """
     mv = moving.nonzero()[0].tolist()
     count = len(mv)
     if count > limit:
         return None
+    rows = present.tolist()
     (px, py), rad, spd = pos.T.tolist(), radii.tolist(), speeds.tolist()
-    top = max(rad)
-    travel = params.max_speed_factor * max(map(abs, spd), default=0.0) * tick_length  # _tick_travel
+    top = max([rad[i] for i in rows])
+    travel = _tick_travel(max([abs(spd[i]) for i in rows]), params, tick_length)
     radius = _obstacle_radius(top, params, table.cell_size)
     _check_table(table, radius, travel)
     walls = []
@@ -626,15 +627,15 @@ def _prepare_small(
         count += len(walls[-1])
         if count > limit:
             return None
-    cutoff = 2.0 * top + 8.0 * params.repulsion_range  # _agent_cutoff
-    extent = max(max(map(abs, px)), max(map(abs, py)))
-    skin = _widened(cutoff, 2.0 * travel, extent, substeps)  # _skin_radius
+    cutoff = _agent_cutoff(top, params)
+    extent = max([max(abs(px[i]), abs(py[i])) for i in rows])
+    skin = _widened(cutoff, 2.0 * travel, extent, substeps)
     s2 = skin * skin
     found = []
     flags = moving.tolist()
     for a in mv:  # each pair once: a frozen b, or a moving b beyond a
         xa, ya = px[a], py[a]
-        for b in range(len(px)):
+        for b in rows:
             if b == a or (b < a and flags[b]):
                 continue
             ox, oy = xa - px[b], ya - py[b]
@@ -644,16 +645,14 @@ def _prepare_small(
                 if count > limit:
                     return None
     found.sort()
-    rows = mv + sorted({r for pair in found for r in pair}.difference(mv))  # then frozen ends
-    slot = {r: k for k, r in enumerate(rows)}
+    ends = mv + sorted({r for pair in found for r in pair}.difference(mv))  # then frozen ends
+    slot = {r: k for k, r in enumerate(ends)}
     cap = params.max_speed_factor
     return _SmallTick(
-        mv=mv, x=[px[r] for r in rows], y=[py[r] for r in rows],
+        mv=mv, x=[px[r] for r in ends], y=[py[r] for r in ends],
         pairs=[(slot[a], slot[b], a, b, rad[a] + rad[b]) for a, b in found],
         walls=walls, radii=[rad[i] for i in mv], speeds=[spd[i] for i in mv],
-        vmax=[cap * spd[i] for i in mv],
-        gate=[_NO_GATE] * len(mv) if forbidden is None else [
-            g if g >= 0 else _NO_GATE for g in forbidden[mv].tolist()],
+        vmax=[cap * spd[i] for i in mv], gate=gate[mv].tolist(),
         c2=cutoff * cutoff, r2=radius * radius, env=env,
     )
 
@@ -791,11 +790,13 @@ def social_force_step(
     vel = np.array(velocities, dtype=np.float64)
     if n == 0:
         return pos, vel
-    table = None if env is None else _build_obstacle_table(
-        env, float(radii.max()), params, _tick_travel(desired_speeds, params, dt), 1)
+    travel = _tick_travel(float(np.abs(desired_speeds).max()), params, dt)
+    table = None if env is None else _build_obstacle_table(env, float(radii.max()), params, travel)
+    gate = np.full(n, _NO_GATE) if forbidden is None else np.where(
+        forbidden >= 0, forbidden, _NO_GATE)
     tick = _prepare_tick(
-        pos, desired_speeds, radii, params,
-        np.ones(n, dtype=bool) if moving is None else moving, forbidden, env, table, dt, 1,
+        pos, desired_speeds, radii, params, np.arange(n),
+        np.ones(n, dtype=bool) if moving is None else moving, gate, env, table, dt, 1,
     )
     _run_substeps(tick, pos, vel, np.array(targets, dtype=np.float64), dt, 1, params)
     return pos, vel
@@ -980,7 +981,8 @@ class Simulation:
         # wide enough that a tick's wall list, gathered where agents start it, holds
         self._obstacles = _build_obstacle_table(
             self.env, max((t.radius for t in scenario.agent_types), default=0.0), config.forces,
-            _tick_travel(self.v0, config.forces, self.tick_length), config.physics_substeps,
+            _tick_travel(float(np.abs(self.v0).max(initial=0.0)), config.forces, self.tick_length),
+            config.physics_substeps,
         )
 
         self.loc_state = {name: _LocationState(loc) for name, loc in self.env.locations.items()}
@@ -1195,29 +1197,25 @@ class Simulation:
 
     # -- physics ---------------------------------------------------------------
 
-    def _physics(self, on_site: np.ndarray) -> None:
-        g_idx = np.nonzero(on_site)[0]
-        moving = self.phase[g_idx] == MOVING
+    def _physics(self, present: np.ndarray) -> None:
+        moving = self.phase == MOVING
         if not moving.any():
             return  # nobody moves, and frozen agents already stand still
-        pos, vel, tgt = self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx]
-        speeds, radii = self.v0[g_idx], self.radius[g_idx]
         # each waiter keeps off the cells of the one location it waits for
-        gate = np.full(len(self.agents), -1, dtype=np.int64)
+        gate = np.full(len(self.agents), _NO_GATE, dtype=np.int64)
         for name, st in self.loc_state.items():
             if st.waiters:
                 gate[[idx for _, idx in st.waiters]] = self.env.location_index[name]
         params, substeps = self.config.forces, self.config.physics_substeps
-        args = (pos, speeds, radii, params, moving, gate[g_idx], self.env, self._obstacles,
-                self.tick_length, substeps)
+        args = (self.pos, self.v0, self.radius, params, present, moving, gate, self.env,
+                self._obstacles, self.tick_length, substeps)
         # one neighbour search and one wall gather per tick; substeps filter them.  A
         # small tick is prepared and run in Python floats, any other on arrays
         tick, kernel = _prepare_small(*args, SMALL_TICK_MAX), _run_substeps_small
         if tick is None:
             tick, kernel = _prepare_tick(*args), _run_substeps
-        kernel(tick, pos, vel, tgt, self.tick_length / substeps, substeps, params,
-               [self.agents[i] for i in g_idx[tick.mv].tolist()])
-        self.pos[g_idx], self.vel[g_idx], self.tgt[g_idx] = pos, vel, tgt
+        kernel(tick, self.pos, self.vel, self.tgt, self.tick_length / substeps, substeps, params,
+               [self.agents[i] for i in tick.mv])
 
     # -- main loop ---------------------------------------------------------------
 
@@ -1227,7 +1225,6 @@ class Simulation:
                                "make a new Simulation to run again")
         self._ran = True
         n = len(self.agents)
-        ids = np.arange(n, dtype=np.int64)
         for tick in range(self.config.ticks):
             for idx in self._arrival_schedule.get(tick, ()):
                 self._process_arrival(self.agents[idx], tick)
@@ -1235,15 +1232,15 @@ class Simulation:
             for idx in np.nonzero(self.phase >= DWELLING)[0].tolist():
                 self._tick_workflow(self.agents[idx], tick)
             self._grant_pass(tick)
-            on_site = self.phase >= IDLE
-            self._physics(on_site)
+            present = np.flatnonzero(self.phase >= IDLE)  # the frame holds it: never mutated
+            self._physics(present)
             if observer is not None:
                 observer(
                     TickFrame(
                         tick=tick,
-                        ids=ids[on_site],  # boolean indexing copies
-                        type_ids=self.type_ids[on_site],
-                        positions=self.pos[on_site],
+                        ids=present,
+                        type_ids=self.type_ids[present],
+                        positions=self.pos[present],
                         type_names=self.type_names,
                     )
                 )

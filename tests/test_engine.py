@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactmix import routing
+from contactmix import engine, routing
 from contactmix.contacts import ContactConfig, ContactLedger, pairs_within
 from contactmix.engine import (
+    _NO_GATE,
     IDLE,
+    MOVING,
+    OFFSITE,
     QUEUE_WAIT,
     ForceParameters,
     SimConfig,
@@ -28,7 +31,7 @@ from contactmix.engine import (
     social_force_step,
 )
 from contactmix.frames import write_frames
-from contactmix.scenario import parse_scenario
+from contactmix.scenario import load_scenario, parse_scenario
 
 
 SHIPPED_CLINIC = Path(__file__).resolve().parents[1] / "src" / "contactmix" / "data" / "clinic.json"
@@ -116,6 +119,54 @@ def test_coincident_agents_separate_deterministically():
     assert not np.allclose(v1[0], v1[1])  # pushed apart
     np.testing.assert_array_equal(v1, v2)  # same direction every time
     assert np.hypot(*v1[0]) == pytest.approx(np.hypot(*v1[1]), abs=1e-12)
+
+
+def test_coincident_agents_separate_the_same_way_whoever_else_is_on_site():
+    """Agents 0 and 2 start a tick on one point; agent 1 stands outside every
+    cutoff.  The tie-break direction is keyed on agent indices, so the pair
+    ends the tick at the same bytes whether agent 1 is on site or away."""
+    doc = dweller_doc(population=3)
+    doc["map"] = open_map(width=12, height=12, locations={"room": {"cells": [[5, 5]]}})
+    ends = []
+    for phase in (IDLE, OFFSITE):
+        sim = Simulation(scenario_from(doc), SimConfig(ticks=1))
+        sim.pos[:] = [(5.5, 5.5), (9.5, 2.5), (5.5, 5.5)]
+        sim.tgt[:] = (10.5, 10.5)
+        sim.phase[:] = [MOVING, phase, MOVING]
+        sim._physics(np.flatnonzero(sim.phase >= IDLE))
+        assert sim.pos[1].tolist() == [9.5, 2.5]
+        assert not np.array_equal(sim.pos[0], sim.pos[2])  # pushed apart
+        ends.append(sim.pos.tobytes())
+    assert ends[0] == ends[1]
+
+
+def test_physics_moves_only_the_moving_rows_in_place(monkeypatch):
+    """Over a clinic run, both kernels get the Simulation's own ``pos``,
+    ``vel`` and ``tgt``, and the rows of every agent not moving when a tick
+    starts, on site or away, keep their bits through ``_physics``."""
+    kernels, still_on_site = [], []
+    for name in ("_run_substeps", "_run_substeps_small"):
+        def spy(t, pos, vel, tgt, *rest, _real=getattr(engine, name), _name=name):
+            assert pos is sim.pos and vel is sim.vel and tgt is sim.tgt
+            kernels.append(_name)
+            return _real(t, pos, vel, tgt, *rest)
+        monkeypatch.setattr(engine, name, spy)
+    monkeypatch.setattr(engine, "SMALL_TICK_MAX", 12)  # so that both kernels run
+    sim = Simulation(load_scenario(SHIPPED_CLINIC), SimConfig(ticks=300, seed=1))
+    physics = sim._physics
+
+    def checked(present):
+        still = sim.phase != MOVING
+        before = [a[still].tobytes() for a in (sim.pos, sim.vel, sim.tgt)]
+        physics(present)
+        assert [a[still].tobytes() for a in (sim.pos, sim.vel, sim.tgt)] == before
+        if not still.all():
+            still_on_site.append(int((sim.phase[present] != MOVING).sum()))
+
+    sim._physics = checked
+    sim.run()
+    assert set(kernels) == {"_run_substeps", "_run_substeps_small"}
+    assert len(still_on_site) == len(kernels) and sum(still_on_site) > 0
 
 
 def test_speed_clamp():
@@ -230,8 +281,8 @@ def test_obstacle_table_matches_direct_search(cell_size, obstacle_range):
 def wall_forces(env, table, pos, radii, params, tick_length=0.0):
     """Wall forces on agents at ``pos``, all moving, through the per-tick wall list."""
     n = len(pos)
-    tick = _prepare_tick(pos, np.ones(n), radii, params, np.ones(n, dtype=bool), None,
-                         env, table, tick_length, 1)
+    tick = _prepare_tick(pos, np.ones(n), radii, params, np.arange(n), np.ones(n, dtype=bool),
+                         np.full(n, _NO_GATE), env, table, tick_length, 1)
     acc = _obstacle_acceleration(tick, pos, params)
     return np.zeros((n, 2)) if acc is None else acc  # None: no wall within the cutoff
 
@@ -254,8 +305,8 @@ def test_a_point_whose_cell_overflows_int64_feels_no_wall(point):
     env = scenario_from({"map": open_map(width=6, height=5, blocked=[[2, 2]])}).map
     table = _build_obstacle_table(env, 0.25, params, travel=2.0, substeps=10)
     far = np.array([point])
-    tick = _prepare_tick(far, np.ones(1), np.full(1, 0.25), params, np.ones(1, dtype=bool),
-                         None, env, table, 0.0, 1)
+    tick = _prepare_tick(far, np.ones(1), np.full(1, 0.25), params, np.arange(1),
+                         np.ones(1, dtype=bool), np.full(1, _NO_GATE), env, table, 0.0, 1)
     assert len(tick.wall_agent) == 0
     assert _cell_code(env, far).tolist() == [-2]  # off the map
 

@@ -40,8 +40,8 @@ from contactmix.engine import (
     _pair_direction,
     _prepare_tick,
     _run_substeps,
-    _skin_radius,
     _tick_travel,
+    _widened,
     social_force_step,
 )
 from contactmix.scenario import parse_scenario
@@ -49,6 +49,18 @@ from contactmix.scenario import parse_scenario
 _EPS = 1e-12
 WIDTH, HEIGHT = 44, 24
 CROWD_W = 20  # the crowd stays left of this; the loner stands far to the right
+
+
+def gate_codes(forbidden):
+    """``forbidden`` (-1 for none) as the gate codes the preparations take."""
+    return np.where(forbidden >= 0, forbidden, _NO_GATE)
+
+
+def skin_radius(cutoff, pos, speeds, params, tick_length, substeps):
+    """The preparations' skin radius for agents at ``pos``: two agents close
+    in by at most twice the travel of one."""
+    travel = _tick_travel(float(np.abs(speeds).max()), params, tick_length)
+    return _widened(cutoff, 2.0 * travel, float(np.abs(pos).max()), substeps)
 
 
 def reference_obstacle_acceleration(table, pos, radii, params):
@@ -226,7 +238,7 @@ def tick_setup(n, seed, relaxation_time):
     radii = rng.choice([0.2, 0.25, 0.3], size=n)
     speeds = rng.uniform(0.8, 1.6, size=n)
     tick_length = 1.0
-    cutoff = _agent_cutoff(radii, params)
+    cutoff = _agent_cutoff(float(radii.max()), params)
     pos = walkable_points(rng, ENV, n, CROWD_W)
     heading = rng.uniform(0.0, 2.0 * math.pi, size=n)
     # head-on pairs, placed so they close in by almost the whole skin
@@ -271,11 +283,10 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
     containment, and every cell code the kernel carries must be the one a
     fresh ``_cell_code`` gives.  Returns the tick and the reference positions
     at the start of every substep."""
-    table = _build_obstacle_table(
-        env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
-    )
-    tick = _prepare_tick(pos, speeds, radii, params, moving, forbidden, env, table,
-                         tick_length, substeps)
+    table = _build_obstacle_table(env, float(radii.max()), params,
+                                  _tick_travel(float(speeds.max()), params, tick_length), substeps)
+    tick = _prepare_tick(pos, speeds, radii, params, np.arange(len(pos)), moving,
+                         gate_codes(forbidden), env, table, tick_length, substeps)
     dt = tick_length / substeps
     seen = []
     contained = []
@@ -325,7 +336,7 @@ def test_skin_list_and_bincount_match_the_per_substep_search(n, seed, relaxation
         tick_setup(n, seed, relaxation_time)
     )
     ids = np.arange(n, dtype=np.int64)
-    skin = _skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
+    skin = skin_radius(cutoff, pos, speeds, params, tick_length, substeps)
     candidates = pairs_within(ids, pos, skin)[:2]
     tick, starts = kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden,
                                tick_length, substeps)
@@ -483,7 +494,7 @@ def test_a_tick_where_only_frozen_agents_are_near_each_other():
     vel = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.5]])
     targets = np.array([[2.5, 20.5], [2.9, 20.5], [18.0, 20.0]])
     moving = np.array([False, False, True])
-    assert len(pairs_within(np.arange(3), pos, _agent_cutoff(radii, params))[0]) == 1
+    assert len(pairs_within(np.arange(3), pos, _agent_cutoff(0.25, params))[0]) == 1
     tick, starts = kernel_tick(pos, vel, targets, speeds, radii, params, moving,
                                np.full(3, -1), 1.0, 10)
     assert tick.pairs.shape == (2, 0)
@@ -500,7 +511,7 @@ def test_wall_that_enters_the_cutoff_late_in_the_tick(late):
     params = ForceParameters(relaxation_time=1e9)
     radii, speeds = np.array([0.25]), np.array([1.6])
     tick_length, substeps = 1.0, 10
-    travel = _tick_travel(speeds, params, tick_length)
+    travel = _tick_travel(1.6, params, tick_length)
     radius = _obstacle_radius(0.25, params, ENV.cell_size)
     wall = np.array([10.5, 5.5])  # centre of blocked cell (10, 5)
     pos = np.array([[wall[0] - radius - late * travel, wall[1]]])
@@ -523,17 +534,17 @@ def test_head_on_pair_at_the_cap_is_found_on_the_last_substep():
     params = ForceParameters(relaxation_time=1e9, repulsion_strength=0.0)
     radii = np.array([0.25, 0.25])
     speeds = np.array([1.0, 1.0])
-    cutoff = _agent_cutoff(radii, params)
+    cutoff = _agent_cutoff(0.25, params)
     substeps = 10
-    skin = _skin_radius(cutoff, np.zeros((1, 2)), speeds, params, 1.0, substeps)
+    skin = skin_radius(cutoff, np.zeros((1, 2)), speeds, params, 1.0, substeps)
     travel = 2.0 * params.max_speed_factor * 1.0
     assert cutoff + travel < skin < cutoff + travel + 1e-9
     gap = cutoff + travel * (1.0 - 1.5 / substeps)
     pos = np.array([[0.0, 0.0], [gap, 0.0]])
     vel = np.array([[1.3, 0.0], [-1.3, 0.0]])
     targets = np.array([[100.0, 0.0], [-100.0, 0.0]])
-    tick = _prepare_tick(pos, speeds, radii, params, np.ones(2, dtype=bool), None, None, None,
-                         1.0, substeps)
+    tick = _prepare_tick(pos, speeds, radii, params, np.arange(2), np.ones(2, dtype=bool),
+                         np.full(2, _NO_GATE), None, None, 1.0, substeps)
     assert tick.pairs.shape == (2, 1)
     found = []
     for _ in range(substeps):

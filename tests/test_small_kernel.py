@@ -32,7 +32,7 @@ from contactmix.engine import (
 from contactmix.scenario import load_scenario
 
 from test_behaviour_lock import CLINIC
-from test_engine_reference import kernel_case
+from test_engine_reference import gate_codes, kernel_case
 
 CASES = ["walls and coincident agents", "gates", "open", "no pairs", "slides and stops",
          "negative zero"]
@@ -98,9 +98,11 @@ def test_small_kernel_matches_the_array_kernel(case, substeps, routed):
     args, check, env = kernel_case(case, substeps)
     pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length = args
     table = _build_obstacle_table(
-        env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
+        env, float(radii.max()), params, _tick_travel(float(speeds.max()), params, tick_length),
+        substeps,
     )
-    prepared = (pos, speeds, radii, params, moving, forbidden, env, table, tick_length, substeps)
+    prepared = (pos, speeds, radii, params, np.arange(len(pos)), moving, gate_codes(forbidden),
+                env, table, tick_length, substeps)
     tick = _prepare_tick(*prepared)
     check(tick)
     small = _prepare_small(*prepared, math.inf)

@@ -26,11 +26,10 @@ from contactmix.engine import (
     _build_obstacle_table,
     _prepare_small,
     _prepare_tick,
-    _skin_radius,
     _tick_travel,
 )
 
-from test_engine_reference import ENV, gated_setup, kernel_case
+from test_engine_reference import ENV, gate_codes, gated_setup, kernel_case, skin_radius
 
 CASES = ["walls and coincident agents", "gates", "open", "no pairs", "slides and stops",
          "negative zero"]
@@ -41,10 +40,13 @@ def floats(values) -> bytes:
 
 
 def tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, substeps, env):
+    """The preparations' arguments for a tick where every row is present."""
     table = _build_obstacle_table(
-        env, float(radii.max()), params, _tick_travel(speeds, params, tick_length), substeps
+        env, float(radii.max()), params, _tick_travel(float(speeds.max()), params, tick_length),
+        substeps,
     )
-    return pos, speeds, radii, params, moving, forbidden, env, table, tick_length, substeps
+    return (pos, speeds, radii, params, np.arange(len(pos)), moving, gate_codes(forbidden), env,
+            table, tick_length, substeps)
 
 
 def assert_same_tick(args):
@@ -62,7 +64,7 @@ def assert_same_tick(args):
     assert floats(got.y[:m]) == pos[want.mv, 1].tobytes()
     for sa, sb, a, b, _ in got.pairs:
         assert floats([got.x[sa], got.y[sa], got.x[sb], got.y[sb]]) == pos[[a, b]].tobytes()
-        assert [sa < m, sb < m] == args[4][[a, b]].tolist()
+        assert [sa < m, sb < m] == args[5][[a, b]].tolist()
     # each moving row's walls: centre, lower and upper corner, x then y
     boxes = want.walls.transpose(1, 2, 0)  # (k, 2, 3): per wall, x then y of each point
     for i in range(m):
@@ -100,7 +102,35 @@ def test_the_small_preparation_matches_the_grid_search(fraction, seed):
     args = tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, 10, ENV)
     tick = assert_same_tick(args)
     assert tick.pairs.shape[1] and (tick.gate != _NO_GATE).any()
-    assert_same_tick(args[:5] + (None,) + args[6:])
+    assert_same_tick(args[:6] + (np.full(n, _NO_GATE),) + args[7:])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_preparations_read_the_present_rows_only(seed):
+    """Half the frozen agents are away: larger and faster than anyone
+    present, two of them farther out.  Both preparations list, in agent
+    rows, what ``_prepare_tick`` lists for the present rows alone."""
+    n = 158
+    params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
+        gated_setup(n, seed, 0.17))
+    away = ~moving & (np.random.default_rng([seed, 4]).random(n) < 0.5)
+    radii[away], speeds[away] = 0.45, 3.0
+    pos[np.flatnonzero(away)[:2]] = (ENV.width - 0.5, ENV.height - 0.5)
+    present = np.flatnonzero(~away)
+    everyone = tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, 10, ENV)
+    args = everyone[:4] + (present,) + everyone[5:]
+    got = assert_same_tick(args)
+    alone = tuple(a[present] for a in args[:3]) + (params, np.arange(len(present)),
+                                                   moving[present], args[6][present]) + args[7:]
+    want = _prepare_tick(*alone)
+    assert got.mv.tolist() == present[want.mv].tolist()
+    assert got.pairs.tolist() == present[want.pairs].tolist()
+    for name in ("speeds", "vmax", "pair_r", "gate", "wall_agent", "wall_r", "walls"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert floats([got.cutoff, got.r2]) == floats([want.cutoff, want.r2])
+    # had the away agents been present, they would have counted
+    full = _prepare_tick(*everyone)
+    assert full.cutoff > got.cutoff and full.pairs.shape[1] > got.pairs.shape[1]
 
 
 @pytest.mark.parametrize("beyond", [False, True])
@@ -109,8 +139,8 @@ def test_a_pair_at_the_skin_radius(beyond):
     the skin radius, which depends on the largest coordinate (here a y), and
     the test itself are ``_prepare_tick``'s to the last bit."""
     params, radii, speeds = ForceParameters(), np.full(2, 0.25), np.full(2, 1.2)
-    skin = _skin_radius(_agent_cutoff(radii, params), np.array([[1.0, 20.0]]), speeds, params,
-                        1.0, 10)
+    skin = skin_radius(_agent_cutoff(0.25, params), np.array([[1.0, 20.0]]), speeds, params,
+                       1.0, 10)
 
     def passes(x):  # pairs_within's test of the offset from (1.0, 20.0)
         return (x - 1.0) * (x - 1.0) <= skin * skin
@@ -124,7 +154,7 @@ def test_a_pair_at_the_skin_radius(beyond):
         x = math.nextafter(x, math.inf)
     pos = np.array([[1.0, 20.0], [x, 20.0]])
     moving = np.array([True, False])
-    args = tick_args(pos, speeds, radii, params, moving, None, 1.0, 10, ENV)
+    args = tick_args(pos, speeds, radii, params, moving, np.full(2, -1), 1.0, 10, ENV)
     assert assert_same_tick(args).pairs.shape == (2, 0 if beyond else 1)
 
 
@@ -133,7 +163,8 @@ def test_the_small_preparation_refuses_a_narrow_table():
     args, _, env = kernel_case("gates", 0)
     pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length = args
     narrow = _build_obstacle_table(env, float(radii.max()), params)
-    args = (pos, speeds, radii, params, moving, forbidden, env, narrow, tick_length, 10)
+    args = tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, 10, env)
+    args = args[:8] + (narrow,) + args[9:]
     with pytest.raises(ValueError) as want:
         _prepare_tick(*args)
     with pytest.raises(ValueError) as got:
