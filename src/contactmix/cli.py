@@ -2,7 +2,10 @@
 
 ``contactmix run`` simulates a scenario and writes the contact-matrix
 bundle; ``contactmix ingest-trace`` replays a recorded position trace
-through the same contact pipeline.  Exit codes: 0 success, 1 invalid input
+through the same contact pipeline.  Both hand each frame to
+``ContactLedger.observe``, which checks it at once and searches it for
+contacts with its group; ``run --export-frames`` writes each frame to
+``frames.csv`` as it is made.  Exit codes: 0 success, 1 invalid input
 (scenario, trace or usage), 2 a fault during simulation (an unreachable
 location, or a capacity deadlock: waiters for a slot whose holders wait on
 each other in a cycle or have ended their workflow), 3 an I/O failure.
@@ -15,13 +18,11 @@ import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
-from .contacts import ContactConfig, ContactLedger, FrameError, pairs_within_frames
+from .contacts import ContactConfig, ContactLedger, FrameError
 from .engine import SimConfig, Simulation, SimulationFault
-from .frames import (
-    ROWS, TickFrame, TraceFormatError, check_type_name, read_frames, write_frames,
-)
+from .frames import TickFrame, TraceFormatError, check_type_name, read_frames, write_frames
 from .report import write_bundle
 from .scenario import (
     TICK_LENGTH_RULE, ScenarioError, load_scenario, round_half_up, valid_tick_length,
@@ -151,11 +152,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     with trace as frames_fh:
         if frames_fh is not None:
             frames_fh.write("tick,agent_id,type_name,x_m,y_m\n")
-        detection = _GroupedDetection(ledger, frames_fh)
-        try:
-            summary = sim.run(detection.add)
-        finally:
-            detection.flush()  # the frames made before a fault still reach frames.csv
+
+        def observe(frame: TickFrame) -> None:
+            ledger.observe(frame)
+            if frames_fh is not None:
+                write_frames(frames_fh, [frame], header=False)
+
+        summary = sim.run(observe)
 
     ledger.finalize(args.ticks - 1)
     return _write_outputs(args, ledger, scenario.populations, sim.tick_length, {
@@ -194,50 +197,13 @@ def _parse_populations(spec: str | None) -> dict[str, int]:
     return out
 
 
-class _GroupedDetection:
-    """Feeds frames to a ledger in groups of about ``ROWS`` rows, an empty
-    tick counting as its one placeholder line.  Each group is searched for
-    pairs at once, observed frame by frame and then, given a trace file,
-    written to it.  Call ``flush`` after the last frame, and before an
-    exception propagates, so that every frame added comes out in order."""
-
-    def __init__(self, ledger: ContactLedger, trace: IO[str] | None = None):
-        self.ledger = ledger
-        self.trace = trace
-        self.group: list[TickFrame] = []
-        self.rows = 0
-
-    def add(self, frame: TickFrame) -> None:
-        rows = max(len(frame), 1)
-        if self.group and self.rows + rows > ROWS:
-            self.flush()
-        self.group.append(frame)
-        self.rows += rows
-
-    def flush(self) -> None:
-        group, self.group, self.rows = self.group, [], 0
-        if not group:
-            return
-        pairs = pairs_within_frames(group, self.ledger.config.effective_radius)
-        for frame, frame_pairs in zip(group, pairs):
-            self.ledger.observe(frame, _pairs=frame_pairs)
-        if self.trace is not None:
-            write_frames(self.trace, group, header=False)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     override = _parse_populations(args.populations)  # before the trace is read
     ledger = _ledger(args)
-    detection = _GroupedDetection(ledger)
     # bytes that are not UTF-8 reach read_frames, which names their line
     with open(args.trace, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            for frame in read_frames(fh):
-                detection.add(frame)
-        finally:
-            # on a bad line the frames before it are observed first: a frame
-            # the ledger rejects is then reported ahead of the later line
-            detection.flush()
+        for frame in read_frames(fh):
+            ledger.observe(frame)
     last_tick = ledger.last_tick if ledger.last_tick is not None else -1
     ledger.finalize(last_tick)
 

@@ -14,6 +14,11 @@ range and one sort orders them by (frame, id_a, id_b).  ``pairs_within`` is
 the one-frame case of the batch ``pairs_within_frames`` searches, so both
 give the same bytes.
 
+The ledger checks each frame as it is observed and queues it.  One
+``pairs_within_frames`` call searches the queue once it holds ``ROWS`` rows
+(an empty tick counts as one) or the records are read, and the frames are
+folded in one by one, in tick order, so grouping never changes a record.
+
 Frames must arrive in dense tick order.  Closed records are never revised.
 A frame the ledger cannot accept raises ``FrameError`` and changes nothing.
 
@@ -33,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import TickFrame
+from .frames import ROWS, TickFrame
 
 _ID_LIMIT = 2**31  # ids are packed two-per-int64 by pair_key
 
@@ -107,7 +112,10 @@ def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.nd
     [1, stride - 2] so that no neighbour offset wraps into another column.
     """
     order = np.argsort(key, kind="stable")
-    uniq, g_start, g_count = np.unique(key[order], return_index=True, return_counts=True)
+    key = key[order]
+    g_start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    g_count = np.diff(g_start, append=len(key))
+    uniq = key[g_start]
 
     # group pairs: each cell with itself (full product), then its forward
     # neighbours E, NE, N, SE in grid terms
@@ -229,7 +237,7 @@ def pairs_within_frames(
     """
     frame = np.repeat(np.arange(len(frames), dtype=np.int64), [len(f) for f in frames])
     found = _grid_search(
-        np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)]),
+        np.concatenate([f.ids for f in frames] + [np.empty(0, dtype=np.int64)], dtype=np.int64),
         np.concatenate([f.positions for f in frames] + [np.empty((0, 2))]),
         radius, frame, len(frames),
     )
@@ -241,7 +249,7 @@ def pairs_within_frames(
 
 
 class ContactLedger:
-    """Columnar store of contact records, updated one frame at a time."""
+    """Columnar store of contact records, updated a group of frames at a time."""
 
     _GROW = 1024
     _STORED = ("_id_a", "_id_b", "_start", "_duration", "_dist_sum")
@@ -256,8 +264,11 @@ class ContactLedger:
         self._dist_sum = np.empty(self._cap, dtype=np.float64)
         self._n = 0
 
-        # the latest frame's pairs (sorted keys) and their open records
+        # the latest folded frame's pairs (sorted keys) and their open records
         self._open_keys = self._open_idx = np.empty(0, dtype=np.int64)
+        # frames checked but not yet searched, and their rows (an empty tick is one)
+        self._queue: list[TickFrame] = []
+        self._queued_rows = 0
 
         self.type_names: list[str] = []
         self._type_of: dict[int, int] = {}  # agent id -> type index
@@ -284,7 +295,8 @@ class ContactLedger:
     def _check_roster(self, frame: TickFrame) -> tuple[list[str], dict[int, int]] | None:
         """The type list and new agents after this frame; None if the roster repeats.
 
-        Raises FrameError for an id outside [0, 2^31) or a changed type."""
+        Raises FrameError for an id outside [0, 2^31) or given twice, a type
+        index outside ``frame.type_names``, or a changed type."""
         # Hot path: most frames repeat the previous roster verbatim.
         prev = self._last_roster
         if (
@@ -299,13 +311,20 @@ class ContactLedger:
         for name in frame.type_names:
             if name not in names:
                 names.append(name)
-        remap = [names.index(name) for name in frame.type_names]
+        remap = {local: names.index(name) for local, name in enumerate(frame.type_names)}
+        ids = frame.ids.tolist()
+        if len(set(ids)) < len(ids):
+            values, counts = np.unique(frame.ids, return_counts=True)
+            raise FrameError(f"tick {frame.tick}: agent {values[counts > 1][0]} appears twice")
         new: dict[int, int] = {}
-        for agent_id, local in zip(frame.ids.tolist(), frame.type_ids.tolist()):
+        for agent_id, local in zip(ids, frame.type_ids.tolist()):
             if not (0 <= agent_id < _ID_LIMIT):
                 raise FrameError(f"tick {frame.tick}: agent {agent_id} is outside "
                                  "the supported id range [0, 2^31)")
-            t = remap[local]
+            t = remap.get(local)
+            if t is None:
+                raise FrameError(f"tick {frame.tick}: agent {agent_id} has type index "
+                                 f"{local}, outside the frame's {len(remap)} type names")
             known = self._type_of.get(agent_id)
             if known is None:
                 new[agent_id] = t
@@ -316,19 +335,19 @@ class ContactLedger:
 
     # -- the per-tick update -------------------------------------------------
 
-    def observe(
-        self,
-        frame: TickFrame,
-        _pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Fold one frame into the ledger; every check runs before any state changes.
+    def observe(self, frame: TickFrame) -> None:
+        """Check one frame and queue it; every check runs before any state changes.
 
-        ``_pairs``, if given, is what ``pairs_within`` returns for this frame
-        at the ledger's radius (``pairs_within_frames`` gives it for a batch);
-        the ledger then uses it instead of searching.
+        The roster and the ticks take the frame at once; its pairs reach the
+        records with its queue (see the module docstring), so a caller must
+        not change a frame's arrays after passing it.
         """
         if self.finalized:
             raise ValueError("ledger is finalized")
+        n = len(frame.ids)
+        if frame.positions.shape != (n, 2) or len(frame.type_ids) != n:
+            raise FrameError(f"tick {frame.tick}: {n} ids but {len(frame.type_ids)} type ids "
+                             f"and positions of shape {frame.positions.shape}")
         if not np.isfinite(frame.positions).all():
             bad = frame.ids[np.argmin(np.isfinite(frame.positions).all(axis=1))]
             raise FrameError(f"tick {frame.tick}: agent {bad} has a non-finite position")
@@ -344,9 +363,20 @@ class ContactLedger:
             self.first_tick = frame.tick
         self.last_tick = frame.tick
 
-        if _pairs is None:
-            _pairs = pairs_within(frame.ids, frame.positions, self.config.effective_radius)
-        a, b, dist = _pairs
+        self._queue.append(frame)
+        self._queued_rows += max(n, 1)
+        if self._queued_rows >= ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Search the queued frames for pairs at once, then fold them in order."""
+        queue, self._queue, self._queued_rows = self._queue, [], 0
+        found = pairs_within_frames(queue, self.config.effective_radius) if queue else []
+        for frame, (a, b, dist) in zip(queue, found):
+            self._fold(frame.tick, a, b, dist)
+
+    def _fold(self, tick: int, a: np.ndarray, b: np.ndarray, dist: np.ndarray) -> None:
+        """Fold one frame's pairs, sorted by (id_a, id_b), into the records."""
         keys = pair_key(a, b)
 
         # continuing pairs extend their open record; pairs that left simply drop out
@@ -366,7 +396,7 @@ class ContactLedger:
         sl = slice(self._n, self._n + k)
         self._id_a[sl] = a[fresh]
         self._id_b[sl] = b[fresh]
-        self._start[sl] = frame.tick
+        self._start[sl] = tick
         self._duration[sl] = 1
         self._dist_sum[sl] = dist[fresh]
         idx[fresh] = np.arange(self._n, self._n + k, dtype=np.int64)
@@ -381,6 +411,7 @@ class ContactLedger:
             raise ValueError(
                 f"finalize tick {last_tick} precedes last observed tick {self.last_tick}"
             )
+        self._flush()
         self._open_keys = self._open_idx = np.empty(0, dtype=np.int64)
         first = self.first_tick if self.first_tick is not None else 0
         self.horizon = last_tick - first + 1
@@ -390,10 +421,12 @@ class ContactLedger:
 
     @property
     def n_records(self) -> int:
+        self._flush()
         return self._n
 
     def stored_columns(self) -> dict[str, np.ndarray]:
         """The five stored columns, trimmed to the records logged so far."""
+        self._flush()
         return {name[1:]: getattr(self, name)[: self._n] for name in self._STORED}
 
     def columns(self) -> dict[str, np.ndarray]:

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contactmix.__main__
-from contactmix import cli
+from contactmix import cli, contacts
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from contactmix.frames import ROWS, write_frames
+from contactmix.frames import ROWS
 
 from conftest import GOLDEN_IDS, matrix_from_csv
 
@@ -174,41 +174,24 @@ def test_any_accepted_type_names_replay_to_the_same_matrices(names, seed, tmp_pa
         assert filecmp.cmp(tmp / "sim" / name, tmp / "ing" / name, shallow=False), name
 
 
-class PerFrameObserver:
-    """The observer ``cli.cmd_run`` used before detection was grouped, in the
-    shape of ``cli._GroupedDetection``: the ledger searches each frame for
-    pairs itself, and each frame is written on its own, at once."""
-
-    def __init__(self, ledger, trace=None):
-        self.ledger = ledger
-        self.trace = trace
-
-    def add(self, frame):
-        self.ledger.observe(frame)
-        if self.trace is not None:
-            write_frames(self.trace, [frame], header=False)
-
-    def flush(self):
-        pass
-
-
 def grouped_and_per_frame(monkeypatch, rows, argv, tmp_path):
-    """Run ``argv`` with detection in groups of about ``rows`` rows, then
-    with ``PerFrameObserver``; returns both exit codes, both output
-    directories and the sizes of the groups searched."""
-    monkeypatch.setattr(cli, "ROWS", rows)
+    """Run ``argv`` with the ledger searching groups of about ``rows`` rows,
+    then with each frame searched alone (one row per group); returns both
+    exit codes, both output directories and the sizes of the groups
+    searched in the first run."""
     groups = []
-    search = cli.pairs_within_frames
+    search = contacts.pairs_within_frames
 
     def counted(frames, radius):
         groups.append(len(frames))
         return search(frames, radius)
 
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "pairs_within_frames", counted)
+        mp.setattr(contacts, "ROWS", rows)
+        mp.setattr(contacts, "pairs_within_frames", counted)
         grouped = run_cli(*argv, "--out", tmp_path / "grouped")
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "_GroupedDetection", PerFrameObserver)
+        mp.setattr(contacts, "ROWS", 1)
         per_frame = run_cli(*argv, "--out", tmp_path / "per_frame")
     return grouped, per_frame, tmp_path / "grouped", tmp_path / "per_frame", groups
 
@@ -259,9 +242,10 @@ def test_a_run_that_faults_mid_group_leaves_the_same_frames(rows, monkeypatch, t
     assert "has ended its workflow" in capsys.readouterr().err
     lines = (a / "frames.csv").read_text(encoding="utf-8").splitlines()[1:]
     frames = len({line.split(",")[0] for line in lines})
-    assert frames > 40 and sum(groups) == frames
-    # with full-size groups the whole run is one group, cut short by the fault
-    assert len(groups) == 1 if rows == ROWS else len(groups) >= 3
+    # a fault reads no records, so the frames still queued are never searched:
+    # fewer than a group's rows, so none with full-size groups
+    assert frames > 40 and 0 <= frames - sum(groups) < rows
+    assert len(groups) == 0 if rows == ROWS else len(groups) >= 3
     assert filecmp.cmp(a / "frames.csv", b / "frames.csv", shallow=False)
 
 

@@ -1,15 +1,18 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactmix import contacts
 from contactmix.contacts import (
     ContactConfig,
     ContactLedger,
     FrameError,
     NonMonotonicTickError,
+    pair_key,
     pairs_within,
     pairs_within_frames,
 )
@@ -283,18 +286,41 @@ def ledger_state(led):
     return (cols, list(led.type_names), led.agents(), led.first_tick, led.last_tick)
 
 
-# each frame for tick 1 adds a new agent 7 and a new type before its fault
+# each frame for tick 1 adds a new agent 7 and a new type before its fault,
+# which the message names
 REJECTED_FRAMES = {
-    "type change": frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
-                         type_ids=[1, 0, 0], type_names=["other", "only"]),
-    "negative id": frame(1, [4, 7, 9, -5], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
-                         type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
-    "id 2^31": frame(1, [4, 7, 9, 2**31], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
-                     type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
-    "non-finite position": frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, np.nan]],
-                                 type_ids=[0, 1, 0], type_names=["only", "other"]),
-    "skipped tick": frame(2, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
-                          type_ids=[0, 1, 0], type_names=["only", "other"]),
+    "type change": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                          type_ids=[1, 0, 0], type_names=["other", "only"]),
+                    "tick 1: agent 9 changed type from 'only' to 'other'"),
+    "negative id": (frame(1, [4, 7, 9, -5], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
+                          type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
+                    r"tick 1: agent -5 is outside the supported id range \[0, 2\^31\)"),
+    "id 2^31": (frame(1, [4, 7, 9, 2**31], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.2, 0.0]],
+                      type_ids=[0, 1, 0, 0], type_names=["only", "other"]),
+                r"tick 1: agent 2147483648 is outside the supported id range \[0, 2\^31\)"),
+    "non-finite position": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, np.nan]],
+                                  type_ids=[0, 1, 0], type_names=["only", "other"]),
+                            "tick 1: agent 9 has a non-finite position"),
+    "skipped tick": (frame(2, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                           type_ids=[0, 1, 0], type_names=["only", "other"]),
+                     "tick 2: expected tick 1"),
+    "repeated id": (frame(1, [4, 7, 7, 9], [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                          type_ids=[0, 1, 1, 0], type_names=["only", "other"]),
+                    "tick 1: agent 7 appears twice"),
+    "type index past the names": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                        type_ids=[0, 1, 2], type_names=["only", "other"]),
+                                  "tick 1: agent 9 has type index 2, outside the frame's "
+                                  "2 type names"),
+    "negative type index": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                  type_ids=[0, -1, 0], type_names=["only", "other"]),
+                            "tick 1: agent 7 has type index -1, outside the frame's "
+                            "2 type names"),
+    "fewer positions than ids": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0]],
+                                       type_ids=[0, 1, 0], type_names=["only", "other"]),
+                                 r"tick 1: 3 ids but 3 type ids and positions of shape \(2, 2\)"),
+    "fewer type ids than ids": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                      type_ids=[0, 1], type_names=["only", "other"]),
+                                r"tick 1: 3 ids but 2 type ids and positions of shape \(3, 2\)"),
 }
 
 
@@ -303,8 +329,9 @@ def test_rejected_frame_leaves_ledger_unchanged(case):
     led = make_ledger()
     led.observe(frame(0, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
     before = ledger_state(led)
-    with pytest.raises(FrameError, match=r"^tick [12]: "):
-        led.observe(REJECTED_FRAMES[case])
+    bad, message = REJECTED_FRAMES[case]
+    with pytest.raises(FrameError, match=f"^{message}$"):
+        led.observe(bad)
     assert ledger_state(led) == before
     # so the corrected frame for tick 1 is accepted
     led.observe(frame(1, [4, 9], [[0.0, 0.0], [1.0, 0.0]]))
@@ -435,6 +462,153 @@ def test_ledger_replay_property(frames):
             assert nxt["start"] >= prev["last"] + 2
         assert len(recs) <= math.ceil(horizon / 2)
         assert sum(r["duration"] for r in recs) <= horizon
+
+
+# queued ledger vs the per-frame ledger it replaced
+
+
+class PerFrameLedger(ContactLedger):
+    """The reference: ``observe`` as it was before frames were queued.  Each
+    frame is checked, searched alone with ``pairs_within`` and folded into
+    the records at once, so the inherited views never find a queue."""
+
+    def observe(self, frame):
+        if self.finalized:
+            raise ValueError("ledger is finalized")
+        if not np.isfinite(frame.positions).all():
+            bad = frame.ids[np.argmin(np.isfinite(frame.positions).all(axis=1))]
+            raise FrameError(f"tick {frame.tick}: agent {bad} has a non-finite position")
+        if self.last_tick is not None and frame.tick != self.last_tick + 1:
+            raise NonMonotonicTickError(f"tick {frame.tick}: expected tick {self.last_tick + 1}")
+        roster = self._check_roster(frame)
+
+        if roster is not None:
+            self.type_names, new = roster
+            self._type_of.update(new)
+            self._last_roster = (frame.ids, frame.type_ids, frame.type_names)
+        if self.first_tick is None:
+            self.first_tick = frame.tick
+        self.last_tick = frame.tick
+
+        a, b, dist = pairs_within(frame.ids, frame.positions, self.config.effective_radius)
+        keys = pair_key(a, b)
+
+        idx = np.empty(len(keys), dtype=np.int64)
+        cont = np.zeros(len(keys), dtype=bool)
+        n_open = len(self._open_keys)
+        if n_open:
+            pos = np.minimum(np.searchsorted(self._open_keys, keys), n_open - 1)
+            cont = self._open_keys[pos] == keys
+            idx[cont] = rec = self._open_idx[pos[cont]]
+            self._duration[rec] += 1
+            self._dist_sum[rec] += dist[cont]
+
+        fresh = ~cont
+        k = int(fresh.sum())
+        self._ensure(k)
+        sl = slice(self._n, self._n + k)
+        self._id_a[sl] = a[fresh]
+        self._id_b[sl] = b[fresh]
+        self._start[sl] = frame.tick
+        self._duration[sl] = 1
+        self._dist_sum[sl] = dist[fresh]
+        idx[fresh] = np.arange(self._n, self._n + k, dtype=np.int64)
+        self._n += k
+        self._open_keys, self._open_idx = keys, idx
+
+
+QUEUE_IDS = [0, 1, 2, 3, 5, 8, 13, 2**31 - 1]  # the largest id sorts by lexsort
+QUEUE_NAMES = ["a", "b", "c"]
+
+
+@st.composite
+def queued_ledger_script(draw):
+    """Frames for a ledger to observe, each maybe followed by a read, and
+    maybe a frame it must reject before it.  Agents sit on a half-metre
+    grid, so pairs meet at the radius, leave and meet again; ticks may be
+    empty."""
+    first = draw(st.integers(0, 5))
+    script, known = [], {}
+    for tick in range(first, first + draw(st.integers(1, 30))):
+        present = draw(st.lists(st.sampled_from(QUEUE_IDS), max_size=8, unique=True))
+        cells = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                              min_size=len(present), max_size=len(present)))
+        names = QUEUE_NAMES if draw(st.booleans()) else draw(st.permutations(QUEUE_NAMES))
+        ids = np.array(present, dtype=np.int64)
+        type_ids = np.array([names.index(QUEUE_NAMES[i % 3]) for i in present], dtype=np.int32)
+        positions = np.array(cells, dtype=np.float64).reshape(-1, 2) * 0.5
+        good = TickFrame(tick, ids, type_ids, positions, names)
+        fault = draw(st.sampled_from([None, None, "position", "tick", "id", "type"]))
+        if fault == "tick" and tick > first:
+            bad = TickFrame(tick + draw(st.sampled_from([-1, 1, 2])), ids, type_ids,
+                            positions, names)
+        elif fault in ("tick", "type"):
+            if known:  # one known agent with another type
+                agent = draw(st.sampled_from(sorted(known)))
+                other = (QUEUE_NAMES.index(known[agent]) + 1) % 3
+                bad = TickFrame(tick, np.array([agent]), np.array([other], dtype=np.int32),
+                                np.zeros((1, 2)), QUEUE_NAMES)
+            else:
+                fault = None
+        elif fault == "id":
+            bad = TickFrame(tick, np.append(ids, draw(st.sampled_from([-1, 2**31]))),
+                            np.append(type_ids, 0), np.vstack([positions, [[0.0, 0.0]]]), names)
+        elif fault is not None:
+            spoilt = np.vstack([positions, [[0.0, 0.0]]])
+            spoilt[draw(st.integers(0, len(ids)))] = draw(st.sampled_from([np.nan, np.inf]))
+            bad = TickFrame(tick, np.append(ids, 99), np.append(type_ids, 0), spoilt, names)
+        if fault is not None:
+            script.append(("reject", bad))
+        script.append(("observe", good))
+        known.update((i, QUEUE_NAMES[i % 3]) for i in present)
+        script.append(("read", draw(st.sampled_from([None, None, "n_records", "columns"]))))
+    return script
+
+
+def outcome(fn):
+    """What ``fn()`` raised, as (type, message), or None."""
+    try:
+        fn()
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+def bits(columns):
+    return {name: (col.dtype.str, col.tobytes()) for name, col in columns.items()}
+
+
+@given(queued_ledger_script(), st.sampled_from([1, 2, 3, 7, 2048]), st.floats(0.5, 2.0),
+       st.sampled_from([np.int64, np.int32, np.uint64]))
+@settings(max_examples=150, deadline=None)
+def test_queued_ledger_matches_the_per_frame_ledger(script, rows, radius, id_type):
+    """Column for column and bit for bit, at every read and at the end; a
+    rejected frame raises the reference's error at its own ``observe`` and
+    leaves the same roster and ticks.  The queued ledger may see its
+    accepted frames' ids in another integer type: the reference keys int32
+    ids wrongly, as two int32 ids do not fit in one int32 ``pair_key``."""
+    queued, per_frame = make_ledger(radius), PerFrameLedger(ContactConfig(effective_radius=radius))
+    with mock.patch.object(contacts, "ROWS", rows):
+        for step, arg in script:
+            if step != "read":
+                mine = arg if step == "reject" else TickFrame(
+                    arg.tick, arg.ids.astype(id_type), arg.type_ids, arg.positions, arg.type_names)
+                got = outcome(lambda: queued.observe(mine))
+                assert got == outcome(lambda: per_frame.observe(arg))
+                assert (got is None) == (step == "observe")
+            elif arg == "n_records":
+                assert queued.n_records == per_frame.n_records
+            elif arg == "columns":
+                assert bits(queued.columns()) == bits(per_frame.columns())
+            state = (queued.type_names, queued.agents(), queued.first_tick, queued.last_tick)
+            assert state == (per_frame.type_names, per_frame.agents(),
+                             per_frame.first_tick, per_frame.last_tick)
+        queued.finalize(queued.last_tick + 1)
+        per_frame.finalize(per_frame.last_tick + 1)
+        assert bits(queued.columns()) == bits(per_frame.columns())
+        assert bits(queued.stored_columns()) == bits(per_frame.stored_columns())
+        late = script[-2][1]
+        assert outcome(lambda: queued.observe(late)) == outcome(lambda: per_frame.observe(late))
 
 
 # --- trace format ---------------------------------------------------------------
