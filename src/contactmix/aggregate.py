@@ -27,6 +27,7 @@ compounds to 1 - (1 - p) ** f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -417,5 +418,7 @@ def rescale_per_day(matrix: ContactMatrix, horizon_ticks: int, tick_length: floa
         raise ValueError("distance is an average; per-day rescaling does not apply")
     if horizon_ticks < 1:
         raise ValueError("horizon_ticks must be >= 1")
+    if not (math.isfinite(tick_length) and tick_length > 0):
+        raise ValueError("tick_length must be finite and > 0")
     factor = 86400.0 / (horizon_ticks * tick_length)
     return _derived(matrix, matrix.metric, matrix.values * factor)

@@ -22,7 +22,9 @@ from typing import Any
 
 from .contacts import ContactConfig, ContactLedger, FrameError
 from .engine import SimConfig, Simulation, SimulationFault
-from .frames import TickFrame, TraceFormatError, check_type_name, read_frames, write_frames
+from .frames import (
+    TRACE_HEADER, TickFrame, TraceFormatError, check_type_name, read_frames, write_frames,
+)
 from .report import write_bundle
 from .scenario import (
     TICK_LENGTH_RULE, ScenarioError, load_scenario, round_half_up, valid_tick_length,
@@ -151,7 +153,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = (out / "frames.csv").open("w", encoding="utf-8") if args.export_frames else nullcontext()
     with trace as frames_fh:
         if frames_fh is not None:
-            frames_fh.write("tick,agent_id,type_name,x_m,y_m\n")
+            frames_fh.write(TRACE_HEADER + "\n")
 
         def observe(frame: TickFrame) -> None:
             ledger.observe(frame)

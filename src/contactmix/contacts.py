@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .frames import ROWS, TickFrame
+from .frames import ROWS, TickFrame, check_type_name
 
 _ID_LIMIT = 2**31  # ids are packed two-per-int64 by pair_key
 
@@ -138,18 +138,17 @@ def _stencil_candidates(key: np.ndarray, stride: int) -> tuple[np.ndarray, np.nd
 @np.errstate(over="ignore")  # an offset or square beyond the float range is inf: out of range
 def _in_range(
     ids: np.ndarray, positions: np.ndarray, radius: float, cand_i: np.ndarray,
-    cand_j: np.ndarray, frame: np.ndarray | None = None, n_frames: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    cand_j: np.ndarray, frame: np.ndarray, n_frames: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The candidate pairs (i, j) within radius as (id_a, id_b, distance,
     frame), sorted by (frame, id_a, id_b), with id_a < id_b elementwise.
 
-    ``frame`` gives each point's frame in a batch of ``n_frames``; for one
-    frame it is None, and so is the frame returned.  Ids are unique within
-    a frame, so no two pairs share a sort key.
+    ``frame`` gives each point's frame in a batch of ``n_frames``.  Ids are
+    unique within a frame, so no two pairs share a sort key.
     """
     if len(cand_i) == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0), None if frame is None else empty.copy()
+        return empty, empty.copy(), np.empty(0), empty.copy()
     # component-wise gathers beat 2-D row gathers on this hot path
     px, py = np.ascontiguousarray(positions[:, 0]), np.ascontiguousarray(positions[:, 1])
     # d2 = dx * dx + dy * dy, in place: the same operations, so the same bits
@@ -167,25 +166,22 @@ def _in_range(
 
     a, b = ids[cand_i], ids[cand_j]
     a, b = np.minimum(a, b), np.maximum(a, b)
-    if frame is not None:
-        frame = frame[cand_i]
+    frame = frame[cand_i]
     # (frame, a - base, b - base) packed in one int64 where it fits
     base = int(ids.min())
     width = int(ids.max()) - base + 1
     if n_frames * width * width < _KEY_LIMIT:
         key = (a - base) * width + (b - base)
-        if frame is not None:
-            key += frame * (width * width)
+        key += frame * (width * width)
         order = np.argsort(key)
     else:
-        order = np.lexsort((b, a) if frame is None else (b, a, frame))
-    return a[order], b[order], dist[order], None if frame is None else frame[order]
+        order = np.lexsort((b, a, frame))
+    return a[order], b[order], dist[order], frame[order]
 
 
 def _grid_search(
-    ids: np.ndarray, positions: np.ndarray, radius: float,
-    frame: np.ndarray | None = None, n_frames: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None] | None:
+    ids: np.ndarray, positions: np.ndarray, radius: float, frame: np.ndarray, n_frames: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """``_in_range`` of the pairs in the same or adjacent cells of a uniform
     grid with cell edge equal to the radius, so that any pair in range is a
     candidate.  In a batch the cell key packs (frame, cx, cy), and each
@@ -210,8 +206,7 @@ def _grid_search(
     if n_frames * span >= _KEY_LIMIT:
         return None
     key = cx * stride + cy
-    if frame is not None:
-        key += frame * span
+    key += frame * span
     cand_i, cand_j = _stencil_candidates(key, stride)
     return _in_range(ids, positions, radius, cand_i, cand_j, frame, n_frames)
 
@@ -223,7 +218,7 @@ def pairs_within(
     ``_grid_search`` of this one frame, whose cell keys always fit.  Returns
     (id_a, id_b, distance) with id_a < id_b elementwise.
     """
-    return _grid_search(ids, positions, radius)[:3]
+    return _grid_search(ids, positions, radius, np.zeros(len(ids), dtype=np.int64), 1)[:3]
 
 
 def pairs_within_frames(
@@ -295,8 +290,9 @@ class ContactLedger:
     def _check_roster(self, frame: TickFrame) -> tuple[list[str], dict[int, int]] | None:
         """The type list and new agents after this frame; None if the roster repeats.
 
-        Raises FrameError for an id outside [0, 2^31) or given twice, a type
-        index outside ``frame.type_names``, or a changed type."""
+        Raises FrameError for a new type name that ``check_type_name``
+        rejects, an id outside [0, 2^31) or given twice, a type index outside
+        ``frame.type_names``, or a changed type."""
         # Hot path: most frames repeat the previous roster verbatim.
         prev = self._last_roster
         if (
@@ -310,6 +306,9 @@ class ContactLedger:
         names = list(self.type_names)
         for name in frame.type_names:
             if name not in names:
+                problem = check_type_name(name)
+                if problem:
+                    raise FrameError(f"tick {frame.tick}: type name {name!r} {problem}")
                 names.append(name)
         remap = {local: names.index(name) for local, name in enumerate(frame.type_names)}
         ids = frame.ids.tolist()

@@ -20,17 +20,17 @@ lists (Verlet 1967; Allen & Tildesley, ch. 5).  Agent pairs come from one
 ``pairs_within`` search at the force cutoff plus twice that travel, widened
 by a few ulps, keeping the pairs with a moving end.  Walls never move, so
 ``Simulation`` builds a wall table once: per padded map cell, the walls
-within the largest wall cutoff plus one travel.  Each tick gathers every
-moving agent's walls from the cell it starts in.  Each substep filters both
-lists by the exact cutoff tests, so it sees the pairs, walls, distances and
-order a fresh search would.  Forces are summed with ``np.bincount``, which
-adds in input order: per axis, each agent's relaxation term, then +f on
-every pair's first agent, then -f on every second agent, in pair order;
-wall forces are summed from zero in (agent, wall) order, then added.
-Containment reads one grid of cell codes: a cell's location index, -1 off
-every location, -2 where blocked and on a ring around the map.  Routes are
-memoised per (start cell, goal cell); A* on a static map always returns the
-same path.
+within the largest wall cutoff plus one travel, and the cell's code for
+containment (its location index, -1 in none, -2 where blocked or off the
+map).  Each tick looks up once the cell every moving agent starts in, for
+its walls and its code.  Each substep filters both lists by the exact
+cutoff tests, so it sees the pairs, walls, distances and order a fresh
+search would.  Forces are summed with ``np.bincount``, which adds in input
+order: per axis, each agent's relaxation term, then +f on every pair's
+first agent, then -f on every second agent, in pair order; wall forces are
+summed from zero in (agent, wall) order, then added.  Routes are memoised
+per (start cell, goal cell); A* on a static map always returns the same
+path.
 
 Every physics array is indexed by agent: ``Simulation._physics`` hands the
 preparations and kernels its own arrays with the present and moving rows,
@@ -46,10 +46,11 @@ for the pair offsets, and the rest once at the end.  ``_prepare_small`` and
 on a tick of a few rows, numpy's per-call cost, not arithmetic, is what
 both the preparation and a substep pay.  ``_prepare_small`` tests each pair
 with a moving end against the skin as ``pairs_within`` does, takes each
-moving row's walls from a per-cell cache of tuples on the wall table,
-filled as ticks first start in a cell, and gives up once the moving rows,
-skin pairs and listed walls number more than ``SMALL_TICK_MAX``;
-``Simulation._physics`` then prepares and runs the tick on arrays.  The
+moving row's walls from a cache of tuples on the wall table, keyed by the
+cell the row starts in and filled as ticks first start there, and gives up
+once the moving rows, skin pairs and listed walls number more than
+``SMALL_TICK_MAX``; ``Simulation._physics`` then prepares and runs the tick
+on arrays.  The
 small kernel does each array operation as the same IEEE operation on
 floats, in the same order, with ``math.sqrt`` for ``np.sqrt`` (both
 correctly rounded).  ``exp`` and ``hypot`` stay numpy calls on float64
@@ -58,10 +59,10 @@ the pair and wall forces and one ``hypot`` for the speed cap per substep:
 ``math.exp`` and ``math.hypot`` are other functions, which may round
 differently.  Both kernels take the agent of each moving row and move its
 waypoints with ``_Agent.next_target``.  In both, each moving row's cell code
-carries over from one substep's containment to the next: a step ends at its
-candidate point, a slide of it or its start, and the code of each was
-computed on the way.  ``social_force_step`` is the array kernel run for one
-substep.
+comes from its preparation and carries over from one substep's containment
+to the next: a step ends at its candidate point, a slide of it or its
+start, and the code of each was computed on the way.  ``social_force_step``
+is the array kernel run for one substep.
 
 Capacity is slot accounting, recorded once: each location maps the agents
 holding a slot there to their berths.  A grant takes the smallest berth not
@@ -241,7 +242,8 @@ def _widened(radius: float, travel: float, extent: float, substeps: int) -> floa
 
 @dataclass(frozen=True)
 class _ObstacleTable:
-    """Per map cell, the walls an agent starting a tick in that cell could feel.
+    """Per map cell, the walls an agent starting a tick in that cell could
+    feel, and the cell's code.
 
     Walls never move, so this is built once.  It is CSR over a padded cell
     grid: cell (x, y) has key ``(x - x0) * rows + (y - y0)`` and its walls
@@ -250,7 +252,9 @@ class _ObstacleTable:
     so the candidates of a point in the cell include every wall centre within
     ``reach`` of wherever an agent starting there moves in a tick.  Points
     outside the padded grid are farther than that from every wall, as are
-    the grid's border cells, which list none.
+    the grid's border cells, which list none.  ``code[key]`` is the cell's
+    location index, -1 in none, and -2 where blocked or off the map, as the
+    border cells are.
     """
 
     cell_size: float
@@ -263,16 +267,19 @@ class _ObstacleTable:
     starts: np.ndarray
     idx: np.ndarray
     box: np.ndarray  # (walls, 3, 2): centre, lower-left and upper-right corner
+    code: np.ndarray
     # table key -> that cell's walls as tuples, filled as ticks start in the cell
     _tuples: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def walls_at(self, x: float, y: float) -> list[tuple[float, ...]]:
-        """The walls listed for the cell of the point (x, y), the cell
-        ``_gather_walls`` reads, as (centre, lower and upper x, then the same
-        in y) tuples."""
+    def key_at(self, x: float, y: float) -> int:
+        """``_keys`` of one point (x, y), in Python ints."""
         cs = self.cell_size
-        key = (min(max(math.floor(x / cs) - self.x0, 0), self.cols - 1) * self.rows
-               + min(max(math.floor(y / cs) - self.y0, 0), self.rows - 1))
+        return (min(max(math.floor(x / cs) - self.x0, 0), self.cols - 1) * self.rows
+                + min(max(math.floor(y / cs) - self.y0, 0), self.rows - 1))
+
+    def walls_at(self, key: int) -> list[tuple[float, ...]]:
+        """The walls listed for the cell of table key ``key``, as (centre,
+        lower and upper x, then the same in y) tuples."""
         walls = self._tuples.get(key)
         if walls is None:
             box = self.box.take(self.idx[self.starts[key]:self.starts[key + 1]], 0)
@@ -309,43 +316,44 @@ def _build_obstacle_table(
     order = np.argsort(key, kind="stable")  # stable: walls stay ascending per cell
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
+    code = np.full((cols, rows), -2, dtype=np.int64)
+    code[-x0:cols + x0, -y0:rows + y0] = -1  # the map
+    for name, i in env.location_index.items():
+        for x, y in env.locations[name].cells:
+            code[x - x0, y - y0] = i
+    code[cells[:, 0] - x0, cells[:, 1] - y0] = -2  # blocked, and the ring
     centers = (cells + 0.5) * cs
     return _ObstacleTable(
         cell_size=cs, reach=reach, travel=travel, x0=x0, y0=y0, cols=cols, rows=rows,
         starts=starts, idx=wall[order],
         box=np.stack([centers, centers - cs / 2.0, centers + cs / 2.0], axis=1),
+        code=code.ravel(),
     )
 
 
-def _gather_walls(table: _ObstacleTable, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(point, wall) for every wall listed in each point's table cell, points
-    ascending and each point's walls ascending."""
+def _keys(table: _ObstacleTable, pts: np.ndarray) -> np.ndarray:
+    """Per point, the table key of its cell."""
     cell = np.floor(pts / table.cell_size) - (table.x0, table.y0)
-    # points beyond the padded grid take its border, where no wall is listed;
-    # clipped before the cast, which a far point would overflow
+    # points beyond the padded grid take its border, which lists no wall and
+    # is off the map; clipped before the cast, which a far point would overflow
     np.maximum(cell, 0, out=cell)
     np.minimum(cell, (table.cols - 1, table.rows - 1), out=cell)
     cell = cell.astype(np.int64)
-    key = cell[:, 0] * table.rows + cell[:, 1]
+    return cell[:, 0] * table.rows + cell[:, 1]
+
+
+def _gather_walls(table: _ObstacleTable, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(point, wall) for every wall listed in each point's table cell, given
+    the points' keys: points ascending and each point's walls ascending."""
     first = table.starts[key]
     count = table.starts[key + 1] - first
-    point = np.repeat(np.arange(len(pts), dtype=np.int64), count)
+    point = np.repeat(np.arange(len(key), dtype=np.int64), count)
     shift = np.repeat(first - (np.cumsum(count) - count), count)
     return point, table.idx[np.arange(len(point), dtype=np.int64) + shift]
 
 
-def _cell_code(env: EnvironmentMap, points: np.ndarray) -> np.ndarray:
-    """Per point, the ``EnvironmentMap.cell_codes`` entry of its cell (-2 off the map)."""
-    codes = env.cell_codes
-    cell = np.floor(points / env.cell_size) + 1
-    np.maximum(cell, 0, out=cell)  # clipped before the cast, which a far point would overflow
-    np.minimum(cell, (codes.shape[0] - 1, codes.shape[1] - 1), out=cell)
-    cell = cell.astype(np.int64)
-    return codes[cell[:, 0], cell[:, 1]]
-
-
 def _contain(
-    env: EnvironmentMap, pm: np.ndarray, code: np.ndarray, cand: np.ndarray, vel: np.ndarray,
+    table: _ObstacleTable, pm: np.ndarray, code: np.ndarray, cand: np.ndarray, vel: np.ndarray,
     gate: np.ndarray,
 ) -> np.ndarray:
     """Truncate, in place, steps from ``pm`` to ``cand`` that would enter a
@@ -355,14 +363,14 @@ def _contain(
     ``code`` holds the cell code of each ``pm``.  ``gate`` holds, per agent,
     the location index whose cells it may not enter, or ``_NO_GATE``.
     """
-    end = _cell_code(env, cand)
+    end = table.code.take(_keys(table, cand))
     # an agent already standing inside its gated location may keep moving
     gate = np.where(code == gate, _NO_GATE, gate)
     bad = ((end == gate) | (end < -1)).nonzero()[0]
     if len(bad) == 0:
         return end
     p, c = pm[bad], cand[bad]
-    slid = _cell_code(env, np.where(_SLIDES, p, c).reshape(-1, 2)).reshape(2, -1)
+    slid = table.code.take(_keys(table, np.where(_SLIDES, p, c).reshape(-1, 2))).reshape(2, -1)
     ok_x, ok_y = (slid != gate[bad]) & (slid > -2)
     back = np.column_stack([~ok_x, ok_x | ~ok_y])  # components that stay put
     cand[bad] = np.where(back, p, c)
@@ -413,7 +421,8 @@ class _Tick:
     bins: np.ndarray  # (m, 2): bincount bins 2 * row + axis of the moving rows
     pair_bins: np.ndarray  # (2, p, 2): the bins of each pair's a, then of its b
     cutoff: float
-    env: EnvironmentMap | None  # the map steps are contained in; None without a map
+    table: _ObstacleTable | None  # the map's walls and cell codes; None without a map
+    code: np.ndarray | None  # per moving row, the code of the cell it starts in
     gate: np.ndarray  # per moving row, the location index it may not enter, or _NO_GATE
     r2: float  # squared wall cutoff
     wall_agent: np.ndarray  # per listed wall, its moving row (rows, walls ascending)
@@ -424,17 +433,17 @@ class _Tick:
 
 def _prepare_tick(
     pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
-    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, env: EnvironmentMap | None,
-    table: _ObstacleTable | None, tick_length: float, substeps: int,
+    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, table: _ObstacleTable | None,
+    tick_length: float, substeps: int,
 ) -> _Tick:
     """The per-tick state of the agents ``present`` (ascending rows) when a
     tick starts; ``moving`` flags rows of present agents, and ``gate`` holds
     per row the location index it may not enter, or ``_NO_GATE``.
 
     Frozen agents stay force sources, but a pair of two frozen agents changes
-    nothing.  Each moving agent's walls come from the table cell it starts
-    in; the table's travel must cover ``tick_length`` at the speed cap.
-    With a map, every substep of the tick runs containment.
+    nothing.  Each moving agent's walls and cell code come from the table
+    cell it starts in; the table's travel must cover ``tick_length`` at the
+    speed cap.  With a table, every substep of the tick runs containment.
     """
     mv = np.nonzero(moving)[0]
     at = pos[present]
@@ -448,17 +457,20 @@ def _prepare_tick(
     # substep's take of pair columns from pair_bins several times slower
     pairs = np.ascontiguousarray(pairs[:, moving[pairs[0]] | moving[pairs[1]]])
     vmax = params.max_speed_factor * speeds[mv]
-    r2, agent, walls = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2))
-    if env is not None:
+    r2, agent, walls, code = 0.0, np.empty(0, dtype=np.int64), np.empty((3, 0, 2)), None
+    if table is not None:
         radius = _obstacle_radius(top, params, table.cell_size)
         _check_table(table, radius, travel)
         r2 = radius * radius
-        agent, wall = _gather_walls(table, pos[mv])
+        key = _keys(table, pos[mv])
+        agent, wall = _gather_walls(table, key)
         walls = table.box.take(wall, 0).transpose(1, 0, 2)
+        code = table.code.take(key)
     return _Tick(
         mv=mv, speeds=speeds[mv], vmax=vmax, pairs=pairs,
         pair_r=radii[pairs[0]] + radii[pairs[1]], bins=2 * mv[:, None] + _XY,
-        pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, env=env, gate=gate[mv], r2=r2,
+        pair_bins=2 * pairs[..., None] + _XY, cutoff=cutoff, table=table, code=code,
+        gate=gate[mv], r2=r2,
         wall_agent=agent, wall_bins=2 * agent[:, None] + _XY, wall_r=radii[mv][agent],
         walls=walls,
     )
@@ -496,14 +508,14 @@ def _run_substeps(
     each moving row, each substep starts by moving on, with
     ``_Agent.next_target``, the target of every row within
     ``WAYPOINT_THRESHOLD`` of it.  ``pos`` is updated every substep, since
-    the pair offsets read it; ``vel`` and ``tgt`` at the end.  With a map,
-    every substep runs ``_contain``, and each moving row's cell code carries
-    over from one ``_contain`` to the next, since it is the code of the
-    point the step ended at.
+    the pair offsets read it; ``vel`` and ``tgt`` at the end.  With a table,
+    every substep runs ``_contain``, and each moving row's cell code, from
+    ``t.code`` on, carries over from one ``_contain`` to the next, since it
+    is the code of the point the step ended at.
     """
     mv, bins, flat = t.mv, t.bins, t.bins.ravel()
     pm, vm, tm = pos.take(mv, 0), vel.take(mv, 0), tgt.take(mv, 0)
-    code = None if t.env is None else _cell_code(t.env, pm)
+    code = t.code
     thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
     for _ in range(substeps):
         if movers is not None:
@@ -540,34 +552,27 @@ def _run_substeps(
             v[over] *= (t.vmax[over] / speed[over])[:, None]
         cand = pm + dt * v
         if code is not None:
-            code = _contain(t.env, pm, code, cand, v, t.gate)
+            code = _contain(t.table, pm, code, cand, v, t.gate)
         pos.put(bins, cand)
         pm, vm = cand, v
     vel.put(bins, vm)
     tgt.put(bins, tm)
 
 
-def _cell_code_at(env: EnvironmentMap, x: float, y: float) -> int:
-    """``_cell_code`` of one point (x, y), in Python ints."""
-    codes = env.cell_codes
-    i = min(max(math.floor(x / env.cell_size) + 1, 0), codes.shape[0] - 1)
-    j = min(max(math.floor(y / env.cell_size) + 1, 0), codes.shape[1] - 1)
-    return codes.item(i, j)
-
-
 def _contain_point(
-    env: EnvironmentMap, x: float, y: float, code: int, cx: float, cy: float, vx: float,
+    table: _ObstacleTable, x: float, y: float, code: int, cx: float, cy: float, vx: float,
     vy: float, gate: int,
 ) -> tuple[float, float, float, float, int]:
     """``_contain`` for one step from (x, y), of cell code ``code``, to
     (cx, cy) at velocity (vx, vy): returns the step's end, its velocity and
     the end's cell code."""
-    end = _cell_code_at(env, cx, cy)
+    codes, key_at = table.code, table.key_at
+    end = codes.item(key_at(cx, cy))
     if code == gate:  # standing inside its gated location, it may keep moving
         gate = _NO_GATE
     if end != gate and end > -2:
         return cx, cy, vx, vy, end
-    slid_x, slid_y = _cell_code_at(env, cx, y), _cell_code_at(env, x, cy)
+    slid_x, slid_y = codes.item(key_at(cx, y)), codes.item(key_at(x, cy))
     ok_x = slid_x != gate and slid_x > -2
     ok_y = slid_y != gate and slid_y > -2
     if not ok_x:
@@ -589,19 +594,20 @@ class _SmallTick:
     # within the skin with a moving end, in (a, b) order
     pairs: list[tuple[int, int, int, int, float]]
     walls: list[list[tuple[float, ...]]]  # per moving row, ``_ObstacleTable.walls_at``
+    code: list[int]  # per moving row, the code of the cell it starts in
     radii: list[float]  # per moving row
     speeds: list[float]  # desired speed per moving row
     vmax: list[float]  # speed cap per moving row
     gate: list[int]  # per moving row, the location index it may not enter, or _NO_GATE
     c2: float  # squared agent cutoff
     r2: float  # squared wall cutoff
-    env: EnvironmentMap
+    table: _ObstacleTable
 
 
 def _prepare_small(
     pos: np.ndarray, speeds: np.ndarray, radii: np.ndarray, params: ForceParameters,
-    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, env: EnvironmentMap,
-    table: _ObstacleTable, tick_length: float, substeps: int, limit: float,
+    present: np.ndarray, moving: np.ndarray, gate: np.ndarray, table: _ObstacleTable,
+    tick_length: float, substeps: int, limit: float,
 ) -> _SmallTick | None:
     """``_prepare_tick`` in Python floats, for ``_run_substeps_small``; None
     once the moving rows, skin pairs and listed walls number more than
@@ -621,9 +627,11 @@ def _prepare_small(
     travel = _tick_travel(max([abs(spd[i]) for i in rows]), params, tick_length)
     radius = _obstacle_radius(top, params, table.cell_size)
     _check_table(table, radius, travel)
-    walls = []
+    walls, code = [], []
     for i in mv:
-        walls.append(table.walls_at(px[i], py[i]))
+        key = table.key_at(px[i], py[i])
+        walls.append(table.walls_at(key))
+        code.append(table.code.item(key))
         count += len(walls[-1])
         if count > limit:
             return None
@@ -651,9 +659,9 @@ def _prepare_small(
     return _SmallTick(
         mv=mv, x=[px[r] for r in ends], y=[py[r] for r in ends],
         pairs=[(slot[a], slot[b], a, b, rad[a] + rad[b]) for a, b in found],
-        walls=walls, radii=[rad[i] for i in mv], speeds=[spd[i] for i in mv],
+        walls=walls, code=code, radii=[rad[i] for i in mv], speeds=[spd[i] for i in mv],
         vmax=[cap * spd[i] for i in mv], gate=gate[mv].tolist(),
-        c2=cutoff * cutoff, r2=radius * radius, env=env,
+        c2=cutoff * cutoff, r2=radius * radius, table=table,
     )
 
 
@@ -676,11 +684,11 @@ def _run_substeps_small(
     vx, vy = vel.take(t.mv, 0).T.tolist()
     tx, ty = tgt.take(t.mv, 0).T.tolist()
     walls, radii, speeds, vmax, gate = t.walls, t.radii, t.speeds, t.vmax, t.gate
-    env, tau, c2, r2 = t.env, params.relaxation_time, t.c2, t.r2
+    table, tau, c2, r2 = t.table, params.relaxation_time, t.c2, t.r2
     rep_s, rep_r = params.repulsion_strength, params.repulsion_range
     obs_s, obs_r = params.obstacle_strength, params.obstacle_range
     thr2 = WAYPOINT_THRESHOLD * WAYPOINT_THRESHOLD
-    code = [_cell_code_at(env, X[i], Y[i]) for i in range(m)]
+    code = t.code[:]  # a copy: each step's containment replaces its row's code
     moving = range(m)
     for _ in range(substeps):
         if movers is not None:
@@ -765,7 +773,7 @@ def _run_substeps_small(
                 vy[i] *= cap
             cx, cy = X[i] + dt * vx[i], Y[i] + dt * vy[i]
             X[i], Y[i], vx[i], vy[i], code[i] = _contain_point(
-                env, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
+                table, X[i], Y[i], code[i], cx, cy, vx[i], vy[i], gate[i])
     pos[t.mv] = np.array((X[:m], Y[:m])).T
     vel[t.mv] = np.array((vx, vy)).T
     tgt[t.mv] = np.array((tx, ty)).T
@@ -796,7 +804,7 @@ def social_force_step(
         forbidden >= 0, forbidden, _NO_GATE)
     tick = _prepare_tick(
         pos, desired_speeds, radii, params, np.arange(n),
-        np.ones(n, dtype=bool) if moving is None else moving, gate, env, table, dt, 1,
+        np.ones(n, dtype=bool) if moving is None else moving, gate, table, dt, 1,
     )
     _run_substeps(tick, pos, vel, np.array(targets, dtype=np.float64), dt, 1, params)
     return pos, vel
@@ -1207,8 +1215,8 @@ class Simulation:
             if st.waiters:
                 gate[[idx for _, idx in st.waiters]] = self.env.location_index[name]
         params, substeps = self.config.forces, self.config.physics_substeps
-        args = (self.pos, self.v0, self.radius, params, present, moving, gate, self.env,
-                self._obstacles, self.tick_length, substeps)
+        args = (self.pos, self.v0, self.radius, params, present, moving, gate, self._obstacles,
+                self.tick_length, substeps)
         # one neighbour search and one wall gather per tick; substeps filter them.  A
         # small tick is prepared and run in Python floats, any other on arrays
         tick, kernel = _prepare_small(*args, SMALL_TICK_MAX), _run_substeps_small

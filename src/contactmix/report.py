@@ -82,7 +82,7 @@ def hourly_series_csv(series: dict[tuple[str, str], Any]) -> str:
 
 def _matrix_obj(m: ContactMatrix) -> dict[str, Any]:
     """``m.to_json_obj()``, with the matrix itself standing for its values
-    grid, which ``_json_text`` writes from the arrays."""
+    grid, which ``_json_chunks`` writes from the arrays."""
     return {
         "level": m.level,
         "metric": m.metric,
@@ -179,11 +179,6 @@ def _json_chunks(obj: Any, indent: str = "") -> Iterator[str]:
         )
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_text(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, as ``_json_chunks`` writes it."""
-    return "".join(_json_chunks(obj))
 
 
 def write_bundle(

@@ -314,20 +314,6 @@ class EnvironmentMap:
         """Location name -> index, numbered in sorted name order."""
         return {name: i for i, name in enumerate(sorted(self.locations))}
 
-    @cached_property
-    def cell_codes(self) -> np.ndarray:
-        """Int (width + 2, height + 2) array over the map padded by one ring of
-        cells: -2 where blocked or off the map, else the cell's location index,
-        -1 if it is in none.  Cell (x, y) is at [x + 1, y + 1]."""
-        codes = np.full((self.width + 2, self.height + 2), -2, dtype=np.int64)
-        codes[1:-1, 1:-1] = -1
-        for name, i in self.location_index.items():
-            for x, y in self.locations[name].cells:
-                codes[x + 1, y + 1] = i
-        for x, y in self.blocked:
-            codes[x + 1, y + 1] = -2
-        return codes
-
 
 def _parse_cell(obj: Any, where: str, m: dict[str, Any]) -> tuple[int, int]:
     if (

@@ -489,3 +489,13 @@ def test_rescale_per_day(golden):
                        "distance")
     with pytest.raises(ValueError):
         rescale_per_day(dist, horizon_ticks=3, tick_length=1.0)
+
+
+@pytest.mark.parametrize("tick_length", [0.0, -1.0, math.nan, math.inf])
+def test_rescale_per_day_rejects_a_tick_length_that_is_not_finite_and_positive(
+    golden, tick_length
+):
+    led = golden_ledger(golden)
+    m = type_matrix(pair_summaries(led), golden_agent_types(), GOLDEN_POPS, "duration")
+    with pytest.raises(ValueError, match="^tick_length must be finite and > 0$"):
+        rescale_per_day(m, horizon_ticks=3, tick_length=tick_length)

@@ -321,6 +321,23 @@ REJECTED_FRAMES = {
     "fewer type ids than ids": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
                                       type_ids=[0, 1], type_names=["only", "other"]),
                                 r"tick 1: 3 ids but 2 type ids and positions of shape \(3, 2\)"),
+    # type names the trace and scenario formats reject
+    "type name with ','": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                 type_ids=[0, 1, 0], type_names=["only", "a,b"]),
+                           "tick 1: type name 'a,b' must not contain ','"),
+    "type name with ':'": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                 type_ids=[1, 0, 1], type_names=["c:d", "only"]),
+                           "tick 1: type name 'c:d' must not contain ':'"),
+    "empty type name": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                              type_ids=[0, 1, 0], type_names=["only", ""]),
+                        "tick 1: type name '' must not be empty"),
+    "type name with a tab": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                   type_ids=[0, 1, 0], type_names=["only", "a\tb"]),
+                             r"tick 1: type name 'a\\tb' must hold only printable characters"),
+    "type name with a newline": (frame(1, [4, 7, 9], [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                                       type_ids=[0, 1, 0], type_names=["only", "a\nb"]),
+                                 r"tick 1: type name 'a\\nb' must hold only printable "
+                                 "characters"),
 }
 
 

@@ -21,8 +21,8 @@ from contactmix.engine import (
     Simulation,
     SimulationFault,
     _build_obstacle_table,
-    _cell_code,
     _gather_walls,
+    _keys,
     _obstacle_acceleration,
     _obstacle_cells,
     _prepare_tick,
@@ -274,15 +274,15 @@ def test_obstacle_table_matches_direct_search(cell_size, obstacle_range):
         # a table sized for exactly these radii, and one for a larger type
         for max_radius in (float(radii.max()), 0.6):
             table = _build_obstacle_table(env, max_radius, params)
-            got = wall_forces(env, table, pos, radii, params)
+            got = wall_forces(table, pos, radii, params)
             assert np.array_equal(got, want), (trial, max_radius)
 
 
-def wall_forces(env, table, pos, radii, params, tick_length=0.0):
+def wall_forces(table, pos, radii, params, tick_length=0.0):
     """Wall forces on agents at ``pos``, all moving, through the per-tick wall list."""
     n = len(pos)
     tick = _prepare_tick(pos, np.ones(n), radii, params, np.arange(n), np.ones(n, dtype=bool),
-                         np.full(n, _NO_GATE), env, table, tick_length, 1)
+                         np.full(n, _NO_GATE), table, tick_length, 1)
     acc = _obstacle_acceleration(tick, pos, params)
     return np.zeros((n, 2)) if acc is None else acc  # None: no wall within the cutoff
 
@@ -292,8 +292,8 @@ def test_points_beyond_the_padded_grid_feel_no_wall():
     env = scenario_from({"map": open_map(width=6, height=5, blocked=[[2, 2]])}).map
     table = _build_obstacle_table(env, 0.25, params, travel=2.0, substeps=10)
     far = np.array([[-1e3, 2.5], [2.5, 1e3], [1e9, -1e9], [-1e12, 1e12], [6.0 + 40.0, 2.5]])
-    assert len(_gather_walls(table, far)[0]) == 0
-    got = wall_forces(env, table, far, np.full(len(far), 0.25), params)
+    assert len(_gather_walls(table, _keys(table, far))[0]) == 0
+    got = wall_forces(table, far, np.full(len(far), 0.25), params)
     assert np.array_equal(got, reference_obstacle_acceleration(env, far, np.full(5, 0.25), params))
 
 
@@ -306,25 +306,26 @@ def test_a_point_whose_cell_overflows_int64_feels_no_wall(point):
     table = _build_obstacle_table(env, 0.25, params, travel=2.0, substeps=10)
     far = np.array([point])
     tick = _prepare_tick(far, np.ones(1), np.full(1, 0.25), params, np.arange(1),
-                         np.ones(1, dtype=bool), np.full(1, _NO_GATE), env, table, 0.0, 1)
+                         np.ones(1, dtype=bool), np.full(1, _NO_GATE), table, 0.0, 1)
     assert len(tick.wall_agent) == 0
-    assert _cell_code(env, far).tolist() == [-2]  # off the map
+    assert tick.code.tolist() == [-2]  # off the map
+    assert table.code[_keys(table, far)].tolist() == [-2]
 
 
 def test_obstacle_table_rejects_radius_beyond_its_reach():
     env = scenario_from({"map": open_map()}).map
     table = _build_obstacle_table(env, 0.25, ForceParameters())
     with pytest.raises(ValueError, match="obstacle table"):
-        wall_forces(env, table, np.array([[5.0, 5.0]]), np.array([0.5]), ForceParameters())
+        wall_forces(table, np.array([[5.0, 5.0]]), np.array([0.5]), ForceParameters())
 
 
 def test_obstacle_table_rejects_travel_beyond_its_reach():
     env = scenario_from({"map": open_map()}).map
     table = _build_obstacle_table(env, 0.25, ForceParameters(), travel=1.3)
     pos, radii = np.array([[5.0, 5.0]]), np.array([0.25])
-    wall_forces(env, table, pos, radii, ForceParameters(), tick_length=1.0)  # 1.3 m: covered
+    wall_forces(table, pos, radii, ForceParameters(), tick_length=1.0)  # 1.3 m: covered
     with pytest.raises(ValueError, match="obstacle table"):
-        wall_forces(env, table, pos, radii, ForceParameters(), tick_length=1.01)
+        wall_forces(table, pos, radii, ForceParameters(), tick_length=1.01)
 
 
 def test_a_table_for_travel_beyond_the_map_lists_every_wall_on_it():
@@ -333,7 +334,7 @@ def test_a_table_for_travel_beyond_the_map_lists_every_wall_on_it():
     env = scenario_from({"map": open_map(width=6, height=5, blocked=[[2, 2]])}).map
     table = _build_obstacle_table(env, 0.25, ForceParameters(), travel=20.0, substeps=10)
     pts = np.array([(x, y) for x in np.linspace(0.0, 6.0, 13) for y in np.linspace(0.0, 5.0, 11)])
-    point, wall = _gather_walls(table, pts)
+    point, wall = _gather_walls(table, _keys(table, pts))
     walls = len(_obstacle_cells(env))
     assert point.tolist() == np.repeat(np.arange(len(pts)), walls).tolist()
     assert wall.tolist() == np.tile(np.arange(walls), len(pts)).tolist()

@@ -33,8 +33,8 @@ from contactmix.engine import (
     ForceParameters,
     _agent_cutoff,
     _build_obstacle_table,
-    _cell_code,
     _gather_walls,
+    _keys,
     _near_pairs,
     _obstacle_radius,
     _pair_direction,
@@ -106,6 +106,18 @@ def reference_grids(env):
         for x, y in env.locations[name].cells:
             loc[x, y] = i
     return walk, loc
+
+
+def reference_codes(env, points):
+    """Per point, the code of its cell: -2 where blocked or off the map, else
+    its location index, -1 in none."""
+    walk, loc = reference_grids(env)
+    cell = np.floor(points / env.cell_size)
+    inside = (cell >= 0).all(axis=1) & (cell < (env.width, env.height)).all(axis=1)
+    x, y = cell[inside].astype(np.int64).T
+    codes = np.full(len(points), -2, dtype=np.int64)
+    codes[inside] = np.where(walk[x, y], loc[x, y], -2)
+    return codes
 
 
 def reference_allowed(env, points, forbidden, exempt):
@@ -280,13 +292,13 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
     """One tick as ``Simulation._physics`` runs it, in one kernel call, checked
     against ``reference_step`` looped, bit for bit: the moving rows at every
     substep start, and the whole state at the end.  Every substep must run
-    containment, and every cell code the kernel carries must be the one a
-    fresh ``_cell_code`` gives.  Returns the tick and the reference positions
+    containment, and every cell code the kernel carries must be the one
+    ``reference_codes`` gives.  Returns the tick and the reference positions
     at the start of every substep."""
     table = _build_obstacle_table(env, float(radii.max()), params,
                                   _tick_travel(float(speeds.max()), params, tick_length), substeps)
     tick = _prepare_tick(pos, speeds, radii, params, np.arange(len(pos)), moving,
-                         gate_codes(forbidden), env, table, tick_length, substeps)
+                         gate_codes(forbidden), table, tick_length, substeps)
     dt = tick_length / substeps
     seen = []
     contained = []
@@ -295,10 +307,10 @@ def kernel_tick(pos, vel, targets, speeds, radii, params, moving, forbidden, tic
         seen.append(pos[tick.mv])
         return real_near_pairs(pairs, pos, cutoff)
 
-    def checked_contain(env, pm, code, cand, vel, gate):
-        assert code.tobytes() == _cell_code(env, pm).tobytes()
-        end = real_contain(env, pm, code, cand, vel, gate)
-        assert end.tobytes() == _cell_code(env, cand).tobytes()
+    def checked_contain(table, pm, code, cand, vel, gate):
+        assert code.tobytes() == reference_codes(env, pm).tobytes()
+        end = real_contain(table, pm, code, cand, vel, gate)
+        assert end.tobytes() == reference_codes(env, cand).tobytes()
         contained.append(len(pm))
         return end
 
@@ -413,27 +425,27 @@ def kernel_case(case, seed):
 
         def check(tick):
             a, b = tick.pairs
-            assert len(tick.wall_agent) and tick.env is not None
+            assert len(tick.wall_agent) and tick.table is not None
             assert np.all(pos[a] == pos[b], axis=1).any()
     elif case == "gates":
         params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
             gated_setup(40, seed, 0.5))
 
         def check(tick):
-            assert (tick.gate != _NO_GATE).any() and tick.env is not None
+            assert (tick.gate != _NO_GATE).any() and tick.table is not None
     elif case == "open":
         rng = np.random.default_rng([seed, 3])
         params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
             open_setup(seed, rng.uniform((27.0, 7.0), (38.0, 17.0), size=(12, 2))))
 
         def check(tick):
-            assert tick.env is not None and len(tick.wall_agent) == 0 and tick.pairs.shape[1]
+            assert tick.table is not None and len(tick.wall_agent) == 0 and tick.pairs.shape[1]
     elif case == "no pairs":
         params, radii, speeds, tick_length, pos, vel, targets, moving, forbidden = (
             open_setup(seed, [(28.0, 8.0), (36.0, 8.0), (32.0, 16.0)]))
 
         def check(tick):
-            assert tick.pairs.shape == (2, 0) and tick.env is not None
+            assert tick.pairs.shape == (2, 0) and tick.table is not None
     elif case == "slides and stops":
         # agent 0 slides along a wall into the bay, agent 1 is stuck in a corner;
         # no wall force turns them away
@@ -446,9 +458,9 @@ def kernel_case(case, seed):
         moving, forbidden = np.ones(2, dtype=bool), np.full(2, -1)
 
         def check(tick):
-            assert tick.env is not None
+            assert tick.table is not None
             end = social_force_step(pos, vel, targets, speeds, radii, tick_length, params, BAY)[0]
-            assert _cell_code(BAY, end).tolist() == [0, -1]  # into the bay; stopped
+            assert reference_codes(BAY, end).tolist() == [0, -1]  # into the bay; stopped
             assert end[1].tolist() == pos[1].tolist()
         args = (pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length)
         return args, check, BAY
@@ -518,7 +530,7 @@ def test_wall_that_enters_the_cutoff_late_in_the_tick(late):
     vel = np.array([[params.max_speed_factor * speeds[0], 0.0]])
     targets = np.array([[40.0, wall[1]]])
     narrow = _build_obstacle_table(ENV, 0.25, params)
-    listed = _gather_walls(narrow, pos)[1]
+    listed = _gather_walls(narrow, _keys(narrow, pos))[1]
     assert not np.any(np.all(narrow.box[listed, 0] == wall, axis=1))
     _, starts = kernel_tick(pos, vel, targets, speeds, radii, params, np.array([True]),
                             np.full(1, -1), tick_length, substeps)
@@ -544,10 +556,54 @@ def test_head_on_pair_at_the_cap_is_found_on_the_last_substep():
     vel = np.array([[1.3, 0.0], [-1.3, 0.0]])
     targets = np.array([[100.0, 0.0], [-100.0, 0.0]])
     tick = _prepare_tick(pos, speeds, radii, params, np.arange(2), np.ones(2, dtype=bool),
-                         np.full(2, _NO_GATE), None, None, 1.0, substeps)
+                         np.full(2, _NO_GATE), None, 1.0, substeps)
     assert tick.pairs.shape == (2, 1)
     found = []
     for _ in range(substeps):
         found.append(len(_near_pairs(tick.pairs, pos, cutoff)[0]))
         _run_substeps(tick, pos, vel, targets, 0.1, 1, params)
     assert found == [0] * (substeps - 1) + [1]
+
+
+def padded_code_grid(env, pad):
+    """The cell codes of the map padded by ``pad`` cells on each side, built
+    from ``blocked`` and the sorted location names: -2 off the map (the
+    ring included) and where blocked, else the index of the cell's location
+    in name order, -1 in none."""
+    grid = np.full((env.width + 2 * pad, env.height + 2 * pad), -2, dtype=np.int64)
+    grid[pad:-pad, pad:-pad] = -1
+    for i, name in enumerate(sorted(env.locations)):
+        for x, y in env.locations[name].cells:
+            grid[x + pad, y + pad] = i
+    for x, y in env.blocked:
+        grid[x + pad, y + pad] = -2
+    return grid
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("travel", [0.0, 1.3, 20.0])
+@pytest.mark.parametrize("name", ["ENV", "BAY"])
+def test_the_wall_table_holds_the_cell_codes(name, travel):
+    """On every padded cell of the wall table, its code is the padded grid's,
+    read by key, by ``_keys`` and by ``key_at`` at the cell's centre and
+    corners; points at +-1e300 m read -2 without an invalid cast."""
+    env = {"ENV": ENV, "BAY": BAY}[name]
+    table = _build_obstacle_table(env, 0.25, ForceParameters(), travel, 10)
+    pad = -table.x0
+    assert table.y0 == table.x0 and pad >= 2
+    assert (table.cols, table.rows) == (env.width + 2 * pad, env.height + 2 * pad)
+    want = padded_code_grid(env, pad)
+    assert table.code.tobytes() == want.ravel().tobytes()
+    cs = env.cell_size
+    x, y = np.meshgrid(np.arange(table.cols) + table.x0, np.arange(table.rows) + table.y0,
+                       indexing="ij")
+    for dx, dy in [(0.5, 0.5), (0.0, 0.0), (1.0 - 1e-9, 1.0 - 1e-9)]:
+        pts = np.column_stack([(x.ravel() + dx) * cs, (y.ravel() + dy) * cs])
+        assert table.code[_keys(table, pts)].tobytes() == want.ravel().tobytes()
+        assert [table.code.item(table.key_at(px, py)) for px, py in pts.tolist()] == (
+            want.ravel().tolist())
+    far = np.array([[1e300, 2.5], [2.5, -1e300], [-1e300, 1e300], [1e300, 1e300],
+                    [-1e300, -1e300]])
+    assert table.code[_keys(table, far)].tolist() == [-2] * len(far)
+    assert [table.code.item(table.key_at(px, py)) for px, py in far.tolist()] == [-2] * len(far)
+    assert reference_codes(env, far).tolist() == [-2] * len(far)

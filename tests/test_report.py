@@ -1,8 +1,8 @@
-"""``bundle.json`` as ``_json_text`` writes it, against ``json.dumps``.
+"""``bundle.json`` as ``_json_chunks`` writes it, against ``json.dumps``.
 
 ``write_bundle`` once built each matrix's nested lists with ``to_json_obj``
 and encoded the bundle with ``json.dumps(..., indent=2, sort_keys=True)``.
-That path is kept below as the reference: ``_json_text`` must give the
+That path is kept below as the reference: ``_json_chunks`` must give the
 stdlib's text for any nested dicts and lists, and ``write_bundle`` the
 reference's ``bundle.json``, byte for byte.
 """
@@ -28,7 +28,7 @@ from contactmix.aggregate import (
 )
 from contactmix.contacts import ContactConfig, ContactLedger
 from contactmix.frames import TickFrame
-from contactmix.report import _json_chunks, _json_text, build_matrices, write_bundle
+from contactmix.report import _json_chunks, build_matrices, write_bundle
 
 from test_aggregate_reference import TYPE_NAMES, random_ledger
 
@@ -37,8 +37,13 @@ def stdlib_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def json_text(obj) -> str:
+    """``stdlib_text(obj)``, as ``_json_chunks`` writes it."""
+    return "".join(_json_chunks(obj))
+
+
 def reference_bundle_json(ledger, populations, manifest, base_p, bucket_length) -> str:
-    """``bundle.json`` as ``write_bundle`` wrote it before ``_json_text``."""
+    """``bundle.json`` as ``write_bundle`` wrote it before ``_json_chunks``."""
     matrices = build_matrices(ledger, populations)
     chunks = effective_chunks(matrices["type_duration"], ledger.config.chunk_length)
     prob = transmission_probability(chunks, base_p)
@@ -97,7 +102,7 @@ trees = st.recursive(
 @example({"é": "\x01 ", "A": 1, "a": 0, "B": 2})
 @settings(max_examples=300, deadline=None)
 def test_json_text_is_stdlib_text(obj):
-    assert _json_text(obj) + "\n" == stdlib_text(obj) + "\n"
+    assert json_text(obj) + "\n" == stdlib_text(obj) + "\n"
 
 
 def test_json_text_rejects_what_json_rejects():
@@ -105,7 +110,7 @@ def test_json_text_rejects_what_json_rejects():
         with pytest.raises(TypeError):
             stdlib_text(bad)
         with pytest.raises(TypeError):
-            _json_text(bad)
+            json_text(bad)
 
 
 @st.composite
@@ -128,7 +133,7 @@ def test_matrix_grid_is_stdlib_text_of_its_values(m, depth):
     tree, want = m, m.to_json_obj()["values"]
     for level in range(depth):
         tree, want = {"values": tree, "n": level}, {"values": want, "n": level}
-    assert _json_text(tree) == stdlib_text(want)
+    assert json_text(tree) == stdlib_text(want)
 
 
 def test_a_matrix_is_streamed_one_row_per_piece():
@@ -148,7 +153,7 @@ def test_grid_keeps_negative_zero_and_null():
     values = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 2.5]])
     defined = np.array([[True, True, True], [True, False, True]])
     m = ContactMatrix("type", "count", ["a", "b"], ["x", "y", "z"], values, defined)
-    rows = json.loads(_json_text(m), parse_constant=str)
+    rows = json.loads(json_text(m), parse_constant=str)
     assert [[repr(v) for v in row] for row in rows] == [
         ["0.0", "-0.0", "'NaN'"], ["'Infinity'", "None", "2.5"]]
 

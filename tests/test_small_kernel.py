@@ -68,8 +68,8 @@ def run_kernel(small, tick, pos, vel, tgt, dt, substeps, params, routed):
         if small:
             real = engine._contain_point
 
-            def contain_point(env, x, y, code, *rest):
-                out = real(env, x, y, code, *rest)
+            def contain_point(table, x, y, code, *rest):
+                out = real(table, x, y, code, *rest)
                 codes.append((code, out[-1]))
                 return out
 
@@ -79,9 +79,9 @@ def run_kernel(small, tick, pos, vel, tgt, dt, substeps, params, routed):
         else:
             real = engine._contain
 
-            def contain(env, pm, code, *rest):
+            def contain(table, pm, code, *rest):
                 before = code.tolist()
-                end = real(env, pm, code, *rest)
+                end = real(table, pm, code, *rest)
                 codes.extend(zip(before, end.tolist()))
                 return end
 
@@ -102,7 +102,7 @@ def test_small_kernel_matches_the_array_kernel(case, substeps, routed):
         substeps,
     )
     prepared = (pos, speeds, radii, params, np.arange(len(pos)), moving, gate_codes(forbidden),
-                env, table, tick_length, substeps)
+                table, tick_length, substeps)
     tick = _prepare_tick(*prepared)
     check(tick)
     small = _prepare_small(*prepared, math.inf)

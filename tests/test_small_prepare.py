@@ -6,7 +6,8 @@ to ``_prepare_tick`` when it gives up.  On every tick of ``kernel_case``,
 and on larger ticks whose skin search takes ``pairs_within``'s grid path,
 it must list what ``_prepare_tick`` does: the moving rows, the skin pairs
 with a moving end in (a, b) order and their radius sums, each moving row's
-walls in table order, the speeds, caps and gates, and both squared cutoffs.
+walls in table order and start cell code, the speeds, caps and gates, and
+both squared cutoffs.
 It must give up exactly when the moving rows, pairs and walls number more
 than its limit, and refuse a wall table that is too narrow with the same
 error.
@@ -45,7 +46,7 @@ def tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, subste
         env, float(radii.max()), params, _tick_travel(float(speeds.max()), params, tick_length),
         substeps,
     )
-    return (pos, speeds, radii, params, np.arange(len(pos)), moving, gate_codes(forbidden), env,
+    return (pos, speeds, radii, params, np.arange(len(pos)), moving, gate_codes(forbidden),
             table, tick_length, substeps)
 
 
@@ -75,7 +76,8 @@ def assert_same_tick(args):
     assert floats(got.vmax) == want.vmax.tobytes()
     assert got.gate == want.gate.tolist()
     assert floats([got.c2, got.r2]) == floats([want.cutoff * want.cutoff, want.r2])
-    assert got.env is want.env
+    assert got.code == want.code.tolist()
+    assert got.table is want.table
     size = m + want.pairs.shape[1] + len(want.wall_agent)
     assert _prepare_small(*args, size) is not None
     assert _prepare_small(*args, size - 1) is None
@@ -125,7 +127,7 @@ def test_the_preparations_read_the_present_rows_only(seed):
     want = _prepare_tick(*alone)
     assert got.mv.tolist() == present[want.mv].tolist()
     assert got.pairs.tolist() == present[want.pairs].tolist()
-    for name in ("speeds", "vmax", "pair_r", "gate", "wall_agent", "wall_r", "walls"):
+    for name in ("speeds", "vmax", "pair_r", "gate", "code", "wall_agent", "wall_r", "walls"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert floats([got.cutoff, got.r2]) == floats([want.cutoff, want.r2])
     # had the away agents been present, they would have counted
@@ -164,7 +166,7 @@ def test_the_small_preparation_refuses_a_narrow_table():
     pos, vel, targets, speeds, radii, params, moving, forbidden, tick_length = args
     narrow = _build_obstacle_table(env, float(radii.max()), params)
     args = tick_args(pos, speeds, radii, params, moving, forbidden, tick_length, 10, env)
-    args = args[:8] + (narrow,) + args[9:]
+    args = args[:7] + (narrow,) + args[8:]
     with pytest.raises(ValueError) as want:
         _prepare_tick(*args)
     with pytest.raises(ValueError) as got:
