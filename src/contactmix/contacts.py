@@ -65,10 +65,10 @@ class ContactConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.effective_radius) and self.effective_radius > 0):
             raise ValueError("effective_radius must be finite and > 0")
-        if self.min_duration < 1:
-            raise ValueError("min_duration must be >= 1 tick")
-        if self.chunk_length < 1:
-            raise ValueError("chunk_length must be >= 1 tick")
+        for name in ("min_duration", "chunk_length"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1 tick")
 
 
 def _expand_blocks(

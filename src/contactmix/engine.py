@@ -160,12 +160,10 @@ class SimConfig:
     forces: ForceParameters = field(default_factory=ForceParameters)
 
     def __post_init__(self) -> None:
-        if self.ticks < 0:
-            raise ValueError("ticks must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.physics_substeps < 1:
-            raise ValueError("physics_substeps must be >= 1")
+        for name, low in (("ticks", 0), ("seed", 0), ("physics_substeps", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         tick = self.tick_length  # None: the scenario default
         if tick is not None and not (math.isfinite(tick) and tick > 0):
             raise ValueError("tick_length must be finite and > 0")
@@ -246,8 +244,8 @@ class _ObstacleTable:
     feel, and the cell's code.
 
     Walls never move, so this is built once.  It is CSR over a padded cell
-    grid: cell (x, y) has key ``(x - x0) * rows + (y - y0)`` and its walls
-    are ``idx[starts[key]:starts[key + 1]]``, ascending.  Every wall whose
+    grid: cell (x, y) has key ``(x - origin) * rows + (y - origin)`` and its
+    walls are ``idx[starts[key]:starts[key + 1]]``, ascending.  Every wall whose
     centre lies within ``reach + travel`` of the cell's rectangle is listed,
     so the candidates of a point in the cell include every wall centre within
     ``reach`` of wherever an agent starting there moves in a tick.  Points
@@ -260,8 +258,7 @@ class _ObstacleTable:
     cell_size: float
     reach: float
     travel: float
-    x0: int
-    y0: int
+    origin: int  # the padded grid's lowest cell index, in x and in y
     cols: int
     rows: int
     starts: np.ndarray
@@ -274,8 +271,8 @@ class _ObstacleTable:
     def key_at(self, x: float, y: float) -> int:
         """``_keys`` of one point (x, y), in Python ints."""
         cs = self.cell_size
-        return (min(max(math.floor(x / cs) - self.x0, 0), self.cols - 1) * self.rows
-                + min(max(math.floor(y / cs) - self.y0, 0), self.rows - 1))
+        return (min(max(math.floor(x / cs) - self.origin, 0), self.cols - 1) * self.rows
+                + min(max(math.floor(y / cs) - self.origin, 0), self.rows - 1))
 
     def walls_at(self, key: int) -> list[tuple[float, ...]]:
         """The walls listed for the cell of table key ``key``, as (centre,
@@ -309,22 +306,22 @@ def _build_obstacle_table(
     ox, oy = ox[near], oy[near]
 
     cells = _obstacle_cells(env)
-    x0, y0 = -1 - pad, -1 - pad
+    origin = -1 - pad
     cols, rows = env.width + 2 + 2 * pad, env.height + 2 + 2 * pad
-    key = ((cells[:, 0, None] + ox - x0) * rows + (cells[:, 1, None] + oy - y0)).ravel()
+    key = ((cells[:, 0, None] + ox - origin) * rows + (cells[:, 1, None] + oy - origin)).ravel()
     wall = np.repeat(np.arange(len(cells), dtype=np.int64), len(ox))
     order = np.argsort(key, kind="stable")  # stable: walls stay ascending per cell
     starts = np.zeros(cols * rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(key, minlength=cols * rows), out=starts[1:])
     code = np.full((cols, rows), -2, dtype=np.int64)
-    code[-x0:cols + x0, -y0:rows + y0] = -1  # the map
+    code[-origin:cols + origin, -origin:rows + origin] = -1  # the map
     for name, i in env.location_index.items():
         for x, y in env.locations[name].cells:
-            code[x - x0, y - y0] = i
-    code[cells[:, 0] - x0, cells[:, 1] - y0] = -2  # blocked, and the ring
+            code[x - origin, y - origin] = i
+    code[cells[:, 0] - origin, cells[:, 1] - origin] = -2  # blocked, and the ring
     centers = (cells + 0.5) * cs
     return _ObstacleTable(
-        cell_size=cs, reach=reach, travel=travel, x0=x0, y0=y0, cols=cols, rows=rows,
+        cell_size=cs, reach=reach, travel=travel, origin=origin, cols=cols, rows=rows,
         starts=starts, idx=wall[order],
         box=np.stack([centers, centers - cs / 2.0, centers + cs / 2.0], axis=1),
         code=code.ravel(),
@@ -333,7 +330,7 @@ def _build_obstacle_table(
 
 def _keys(table: _ObstacleTable, pts: np.ndarray) -> np.ndarray:
     """Per point, the table key of its cell."""
-    cell = np.floor(pts / table.cell_size) - (table.x0, table.y0)
+    cell = np.floor(pts / table.cell_size) - table.origin
     # points beyond the padded grid take its border, which lists no wall and
     # is off the map; clipped before the cast, which a far point would overflow
     np.maximum(cell, 0, out=cell)

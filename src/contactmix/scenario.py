@@ -29,8 +29,15 @@ Distributions are ``{"kind": "constant", "value": v}``,
 and converted to whole ticks when sampled (half-up rounding); a draw whose
 tick count is not a finite float lasts longer than any run.
 
-Parsing is strict: unknown keys, dangling location references and malformed
-distributions are rejected with a message naming the offender.
+Parsing is strict, and one set of rules holds everywhere: an object has no
+keys beyond those listed here; a list must be a JSON array (never ``null``,
+a string or an object), and ``cells``, ``workflow`` and a cycle's ``steps``
+must not be empty; a count is an integer at or above its bound (``width``,
+``height``, ``capacity`` and ``repeat`` >= 1; ``population``, arrival ticks,
+``interval`` and ``until_tick`` >= 0); and a bool is never a number.
+Dangling location references and malformed distributions are rejected too.
+Each message names the key path at fault, such as
+``agent_types['nurse'].population must be an integer >= 0``.
 """
 
 from __future__ import annotations
@@ -40,21 +47,53 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Union
+from typing import Any, Iterable, NoReturn, Union
 
 import numpy as np
 
 from .frames import check_type_name
 
-DISTRIBUTION_KINDS = ("constant", "uniform", "triangular", "exponential")
+# distribution kind -> its parameters, in ``Distribution.params`` order
+_FIELDS = {
+    "constant": ("value",),
+    "uniform": ("min", "max"),
+    "triangular": ("min", "mode", "max"),
+    "exponential": ("mean",),
+}
+DISTRIBUTION_KINDS = tuple(_FIELDS)
 
 
 class ScenarioError(ValueError):
     """A scenario document failed to parse or validate."""
 
 
-def _fail(msg: str) -> None:
+def _fail(msg: str) -> NoReturn:
     raise ScenarioError(msg)
+
+
+def _object(obj: Any, where: str, allowed: Iterable[str] | None = None) -> dict[str, Any]:
+    """``obj`` if it is an object with no key outside ``allowed`` (any key
+    when None)."""
+    if not isinstance(obj, dict):
+        _fail(f"{where} must be an object")
+    extra = set(obj) - set(obj if allowed is None else allowed)
+    if extra:
+        _fail(f"{where}: unexpected keys {sorted(extra)}")
+    return obj
+
+
+def _list(obj: Any, where: str, nonempty: bool = False) -> list[Any]:
+    """``obj`` if it is a list, and not empty when ``nonempty``."""
+    if not isinstance(obj, list) or (nonempty and not obj):
+        _fail(f"{where} must be a {'non-empty ' if nonempty else ''}list")
+    return obj
+
+
+def _integer(v: Any, where: str, low: int) -> int:
+    """``v`` if it is an integer >= ``low``; a bool is not one."""
+    if not isinstance(v, int) or isinstance(v, bool) or v < low:
+        _fail(f"{where} must be an integer >= {low}")
+    return v
 
 
 def _finite(v: Any) -> float | None:
@@ -109,42 +148,22 @@ class Distribution:
         raise AssertionError(f"unreachable kind {self.kind!r}")
 
     def to_json(self) -> dict[str, Any]:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.params[0]}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "min": self.params[0], "max": self.params[1]}
-        if self.kind == "triangular":
-            return {
-                "kind": "triangular",
-                "min": self.params[0],
-                "mode": self.params[1],
-                "max": self.params[2],
-            }
-        return {"kind": "exponential", "mean": self.params[0]}
+        return {"kind": self.kind, **dict(zip(_FIELDS[self.kind], self.params))}
 
 
 def _parse_distribution(obj: Any, where: str, positive: bool = False) -> Distribution:
-    if not isinstance(obj, dict):
-        _fail(f"{where}: distribution must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in DISTRIBUTION_KINDS:
+    kind = _object(obj, where).get("kind")
+    if kind not in DISTRIBUTION_KINDS:  # a tuple: kind may be unhashable
         _fail(f"{where}: unknown distribution kind {kind!r}")
-    fields = {
-        "constant": ("value",),
-        "uniform": ("min", "max"),
-        "triangular": ("min", "mode", "max"),
-        "exponential": ("mean",),
-    }[kind]
-    extra = set(obj) - {"kind", *fields}
-    if extra:
-        _fail(f"{where}: unexpected distribution keys {sorted(extra)}")
+    fields = _FIELDS[kind]
+    _object(obj, where, ("kind", *fields))
     params = []
     for name in fields:
         if name not in obj:
             _fail(f"{where}: {kind} distribution is missing {name!r}")
         v = _finite(obj[name])
         if v is None:
-            _fail(f"{where}: {name} must be a finite number")
+            _fail(f"{where}.{name} must be a finite number")
         params.append(v)
     lo_bound = 0.0
     if positive and any(p <= lo_bound for p in params):
@@ -203,33 +222,23 @@ WorkflowStep = Union[GoTo, Dwell, Queue, Cycle, Depart]
 
 
 def _parse_step(obj: Any, where: str, depth: int) -> WorkflowStep:
-    if not isinstance(obj, dict):
-        _fail(f"{where}: step must be an object")
-    kind = obj.get("kind")
+    kind = _object(obj, where).get("kind")
     if kind == "goto" or kind == "queue":
-        extra = set(obj) - {"kind", "location"}
-        if extra:
-            _fail(f"{where}: unexpected keys {sorted(extra)}")
+        _object(obj, where, ("kind", "location"))
         loc = obj.get("location")
         if not isinstance(loc, str) or not loc:
             _fail(f"{where}: {kind} needs a location name")
         return GoTo(loc) if kind == "goto" else Queue(loc)
     if kind == "dwell":
-        extra = set(obj) - {"kind", "duration"}
-        if extra:
-            _fail(f"{where}: unexpected keys {sorted(extra)}")
+        _object(obj, where, ("kind", "duration"))
         if "duration" not in obj:
             _fail(f"{where}: dwell needs a duration distribution")
         return Dwell(_parse_distribution(obj["duration"], f"{where}.duration"))
     if kind == "cycle":
         if depth > 0:
             _fail(f"{where}: cycles do not nest")
-        extra = set(obj) - {"kind", "steps", "repeat", "until_tick"}
-        if extra:
-            _fail(f"{where}: unexpected keys {sorted(extra)}")
-        raw = obj.get("steps")
-        if not isinstance(raw, list) or not raw:
-            _fail(f"{where}: cycle body must be a non-empty list of steps")
+        _object(obj, where, ("kind", "steps", "repeat", "until_tick"))
+        raw = _list(obj.get("steps"), f"{where}.steps", nonempty=True)
         steps = tuple(
             _parse_step(s, f"{where}.steps[{i}]", depth + 1) for i, s in enumerate(raw)
         )
@@ -239,17 +248,15 @@ def _parse_step(obj: Any, where: str, depth: int) -> WorkflowStep:
         until = obj.get("until_tick")
         if (repeat is None) == (until is None):
             _fail(f"{where}: cycle needs exactly one of repeat / until_tick")
-        if repeat is not None and (not isinstance(repeat, int) or repeat < 1):
-            _fail(f"{where}: repeat must be an integer >= 1")
-        if until is not None and (not isinstance(until, int) or until < 0):
-            _fail(f"{where}: until_tick must be an integer >= 0")
+        if repeat is not None:
+            _integer(repeat, f"{where}.repeat", 1)
+        if until is not None:
+            _integer(until, f"{where}.until_tick", 0)
         return Cycle(steps, repeat, until)
     if kind == "depart":
-        if set(obj) - {"kind"}:
-            _fail(f"{where}: depart takes no other keys")
+        _object(obj, where, ("kind",))
         return Depart()
     _fail(f"{where}: unknown step kind {kind!r}")
-    raise AssertionError
 
 
 def _step_to_json(step: WorkflowStep) -> dict[str, Any]:
@@ -329,20 +336,11 @@ def _parse_cell(obj: Any, where: str, m: dict[str, Any]) -> tuple[int, int]:
 
 
 def _parse_map(obj: Any) -> EnvironmentMap:
-    if not isinstance(obj, dict):
-        _fail("map must be an object")
-    extra = set(obj) - {"cell_size_m", "width", "height", "blocked", "locations"}
-    if extra:
-        _fail(f"map: unexpected keys {sorted(extra)}")
+    _object(obj, "map", ("cell_size_m", "width", "height", "blocked", "locations"))
     cs = _finite(obj.get("cell_size_m"))
     if cs is None or cs <= 0:
         _fail("map.cell_size_m must be a finite positive number")
-    dims = {}
-    for k in ("width", "height"):
-        v = obj.get(k)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            _fail(f"map.{k} must be a positive integer")
-        dims[k] = v
+    dims = {k: _integer(obj.get(k), f"map.{k}", 1) for k in ("width", "height")}
     # the engine squares offsets across the map, its wall ring included
     try:
         extent = (max(dims.values()) + 2) * cs
@@ -352,26 +350,16 @@ def _parse_map(obj: Any) -> EnvironmentMap:
         _fail(f"map.cell_size_m {cs!r} is too large for a {dims['width']}x{dims['height']} "
               "map: squared distances across it overflow")
     blocked = set()
-    for i, raw in enumerate(obj.get("blocked", [])):
+    for i, raw in enumerate(_list(obj.get("blocked", []), "map.blocked")):
         blocked.add(_parse_cell(raw, f"map.blocked[{i}]", dims))
 
     locations: dict[str, Location] = {}
     claimed: dict[tuple[int, int], str] = {}
-    raw_locs = obj.get("locations", {})
-    if not isinstance(raw_locs, dict):
-        _fail("map.locations must be an object of name -> location")
-    for name, raw in raw_locs.items():
+    for name, raw in _object(obj.get("locations", {}), "map.locations").items():
         where = f"map.locations[{name!r}]"
-        if not isinstance(raw, dict):
-            _fail(f"{where}: must be an object")
-        extra = set(raw) - {"cells", "capacity", "anchor"}
-        if extra:
-            _fail(f"{where}: unexpected keys {sorted(extra)}")
-        raw_cells = raw.get("cells")
-        if not isinstance(raw_cells, list) or not raw_cells:
-            _fail(f"{where}: cells must be a non-empty list")
+        _object(raw, where, ("cells", "capacity", "anchor"))
         cells = []
-        for i, c in enumerate(raw_cells):
+        for i, c in enumerate(_list(raw.get("cells"), f"{where}.cells", nonempty=True)):
             cell = _parse_cell(c, f"{where}.cells[{i}]", dims)
             if cell in blocked:
                 _fail(f"{where}: cell {list(cell)} is blocked")
@@ -379,12 +367,10 @@ def _parse_map(obj: Any) -> EnvironmentMap:
                 _fail(f"{where}: cell {list(cell)} already belongs to {claimed[cell]!r}")
             claimed[cell] = name
             cells.append(cell)
-        cells = tuple(sorted(set(cells)))
+        cells = tuple(sorted(cells))
         capacity = raw.get("capacity")
-        if capacity is not None and (
-            not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1
-        ):
-            _fail(f"{where}: capacity must be null or an integer >= 1")
+        if capacity is not None:
+            _integer(capacity, f"{where}.capacity", 1)
         if "anchor" in raw:
             a = raw["anchor"]
             anchor = tuple(map(_finite, a)) if isinstance(a, list) and len(a) == 2 else (None,)
@@ -424,28 +410,16 @@ DEFAULT_BODY_RADIUS = 0.25  # m
 
 
 def _parse_arrival(obj: Any, population: int, where: str) -> tuple[int, ...]:
-    def check_tick(v: Any, w: str) -> int:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            _fail(f"{w}: arrival ticks must be integers >= 0")
-        return v
-
-    if isinstance(obj, int) and not isinstance(obj, bool):
-        return (check_tick(obj, where),) * population
     if isinstance(obj, list):
         if len(obj) != population:
             _fail(f"{where}: arrival list has {len(obj)} entries for population {population}")
-        return tuple(check_tick(v, f"{where}[{i}]") for i, v in enumerate(obj))
+        return tuple(_integer(v, f"{where}[{i}]", 0) for i, v in enumerate(obj))
     if isinstance(obj, dict):
-        extra = set(obj) - {"start", "interval"}
-        if extra:
-            _fail(f"{where}: unexpected arrival keys {sorted(extra)}")
-        start = check_tick(obj.get("start", 0), f"{where}.start")
-        interval = obj.get("interval", 0)
-        if not isinstance(interval, int) or isinstance(interval, bool) or interval < 0:
-            _fail(f"{where}.interval: must be an integer >= 0")
+        _object(obj, where, ("start", "interval"))
+        start = _integer(obj.get("start", 0), f"{where}.start", 0)
+        interval = _integer(obj.get("interval", 0), f"{where}.interval", 0)
         return tuple(start + i * interval for i in range(population))
-    _fail(f"{where}: arrival must be a tick, a list of ticks, or {{start, interval}}")
-    raise AssertionError
+    return (_integer(obj, where, 0),) * population
 
 
 def _arrival_to_json(arrival: tuple[int, ...]) -> Any:
@@ -457,8 +431,6 @@ def _arrival_to_json(arrival: tuple[int, ...]) -> Any:
 def _validate_workflow(
     steps: tuple[WorkflowStep, ...], locations: dict[str, Location], where: str
 ) -> None:
-    if not steps:
-        _fail(f"{where}: workflow must not be empty")
     if not isinstance(steps[0], (GoTo, Queue)):
         _fail(f"{where}: the first step must be goto or queue so the agent has a spawn point")
 
@@ -467,7 +439,7 @@ def _validate_workflow(
             w = f"{prefix}[{i}]"
             if isinstance(step, (GoTo, Queue)) and step.location not in locations:
                 _fail(f"{w}: unknown location {step.location!r}")
-            if isinstance(step, Depart) and (prefix != where or i != len(seq) - 1):
+            if isinstance(step, Depart) and i != len(seq) - 1:
                 _fail(f"{w}: depart must be the final step")
             if isinstance(step, Queue):
                 nxt = seq[i + 1] if i + 1 < len(seq) else None
@@ -481,11 +453,7 @@ def _validate_workflow(
 
 def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> AgentTypeSpec:
     where = f"agent_types[{idx}]"
-    if not isinstance(obj, dict):
-        _fail(f"{where}: must be an object")
-    extra = set(obj) - {"name", "population", "arrival", "desired_speed", "radius", "workflow"}
-    if extra:
-        _fail(f"{where}: unexpected keys {sorted(extra)}")
+    _object(obj, where, ("name", "population", "arrival", "desired_speed", "radius", "workflow"))
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         _fail(f"{where}: name must be a non-empty string")
@@ -493,9 +461,7 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
     if problem:
         _fail(f"{where}: name {name!r} {problem}")
     where = f"agent_types[{name!r}]"
-    population = obj.get("population")
-    if not isinstance(population, int) or isinstance(population, bool) or population < 0:
-        _fail(f"{where}: population must be an integer >= 0")
+    population = _integer(obj.get("population"), f"{where}.population", 0)
     arrival = _parse_arrival(obj.get("arrival", 0), population, f"{where}.arrival")
     speed = _parse_distribution(
         obj.get("desired_speed", {"kind": "uniform", "min": 1.2, "max": 1.5}),
@@ -505,9 +471,7 @@ def _parse_agent_type(obj: Any, idx: int, locations: dict[str, Location]) -> Age
     radius = _finite(obj.get("radius", DEFAULT_BODY_RADIUS))
     if radius is None or radius <= 0:
         _fail(f"{where}: radius must be a finite positive number")
-    raw_steps = obj.get("workflow")
-    if not isinstance(raw_steps, list):
-        _fail(f"{where}: workflow must be a list of steps")
+    raw_steps = _list(obj.get("workflow"), f"{where}.workflow", nonempty=True)
     steps = tuple(
         _parse_step(s, f"{where}.workflow[{i}]", 0) for i, s in enumerate(raw_steps)
     )
@@ -539,18 +503,12 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        _fail("scenario document must be a JSON object")
-    extra = set(doc) - {"map", "agent_types", "defaults"}
-    if extra:
-        _fail(f"unexpected top-level keys {sorted(extra)}")
+    _object(doc, "scenario document", ("map", "agent_types", "defaults"))
     if "map" not in doc:
         _fail("scenario is missing the map")
     env = _parse_map(doc["map"])
 
-    raw_types = doc.get("agent_types", [])
-    if not isinstance(raw_types, list):
-        _fail("agent_types must be a list")
+    raw_types = _list(doc.get("agent_types", []), "agent_types")
     types = tuple(_parse_agent_type(t, i, env.locations) for i, t in enumerate(raw_types))
     seen: set[str] = set()
     for t in types:
@@ -558,12 +516,7 @@ def parse_scenario(text: str) -> Scenario:
             _fail(f"duplicate agent type name {t.name!r}")
         seen.add(t.name)
 
-    defaults = doc.get("defaults", {})
-    if not isinstance(defaults, dict):
-        _fail("defaults must be an object")
-    extra = set(defaults) - {"tick_length_s"}
-    if extra:
-        _fail(f"defaults: unexpected keys {sorted(extra)}")
+    defaults = _object(doc.get("defaults", {}), "defaults", ("tick_length_s",))
     tick = _finite(defaults.get("tick_length_s", 1.0))
     if tick is None or not valid_tick_length(tick):
         _fail(f"defaults.tick_length_s must be {TICK_LENGTH_RULE}")

@@ -16,6 +16,7 @@ import contactmix.__main__
 from contactmix import cli, contacts
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from contactmix.frames import ROWS
+from contactmix.scenario import ScenarioError, parse_scenario
 
 from conftest import GOLDEN_IDS, matrix_from_csv
 
@@ -371,6 +372,22 @@ def test_type_name_with_a_separator_exits_1(name, clinic, tmp_path, capsys):
     code = run_cli("run", "--scenario", clinic, "--ticks", 5, "--out", tmp_path / "o")
     assert code == EXIT_INVALID
     assert capsys.readouterr().err.startswith(f"error: agent_types[1]: name {name!r}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("blocked", [None, 5, True, 1e308, "", {}], ids=repr)
+def test_blocked_cells_that_are_not_a_list_exit_1(blocked, tmp_path, capsys):
+    """Once a TypeError traceback for null, a number or a bool, while "" and
+    {} read as no blocked cells."""
+    doc = clinic_doc()
+    doc["map"]["blocked"] = blocked
+    with pytest.raises(ScenarioError, match=r"^map\.blocked must be a list$"):
+        parse_scenario(json.dumps(doc))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli("run", "--scenario", path, "--ticks", 5, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == "error: map.blocked must be a list\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -189,6 +189,13 @@ def test_config_validation():
         ContactConfig(chunk_length=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("min_duration", 1.5), ("min_duration", True), ("chunk_length", 2.5), ("chunk_length", True),
+])
+def test_config_rejects_a_count_that_is_not_an_int(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1 tick$"):
+        ContactConfig(**{name: value})
+
 
 @pytest.mark.parametrize("name", ["effective_radius"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])

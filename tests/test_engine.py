@@ -371,6 +371,16 @@ def test_sim_config_validation():
 
 
 @pytest.mark.parametrize("name, value", [
+    ("ticks", 5.5), ("ticks", True), ("seed", True), ("seed", 1.0),
+    ("physics_substeps", 2.5), ("physics_substeps", True),
+])
+def test_sim_config_rejects_a_count_that_is_not_an_int(name, value):
+    """A float count once failed in ``range()`` mid-run; a bool once ran."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01]$"):
+        SimConfig(**{"ticks": 1, name: value})
+
+
+@pytest.mark.parametrize("name, value", [
     ("tick_length", v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan)
 ])
 def test_sim_config_rejects_non_positive_or_non_finite(name, value):

@@ -69,8 +69,8 @@ def reference_obstacle_acceleration(table, pos, radii, params):
     acc = np.zeros((n, 2))
     cs = table.cell_size
     radius = float(radii.max()) + 4.0 * params.obstacle_range + cs * 0.7072
-    fx = np.floor(pos[:, 0] / cs) - table.x0
-    fy = np.floor(pos[:, 1] / cs) - table.y0
+    fx = np.floor(pos[:, 0] / cs) - table.origin
+    fy = np.floor(pos[:, 1] / cs) - table.origin
     inside = (fx >= 0) & (fx < table.cols) & (fy >= 0) & (fy < table.rows)
     key = (fx[inside] * table.rows + fy[inside]).astype(np.int64)
     first = np.zeros(n, dtype=np.int64)
@@ -589,14 +589,14 @@ def test_the_wall_table_holds_the_cell_codes(name, travel):
     corners; points at +-1e300 m read -2 without an invalid cast."""
     env = {"ENV": ENV, "BAY": BAY}[name]
     table = _build_obstacle_table(env, 0.25, ForceParameters(), travel, 10)
-    pad = -table.x0
-    assert table.y0 == table.x0 and pad >= 2
+    pad = -table.origin
+    assert type(table.origin) is int and pad >= 2
     assert (table.cols, table.rows) == (env.width + 2 * pad, env.height + 2 * pad)
     want = padded_code_grid(env, pad)
     assert table.code.tobytes() == want.ravel().tobytes()
     cs = env.cell_size
-    x, y = np.meshgrid(np.arange(table.cols) + table.x0, np.arange(table.rows) + table.y0,
-                       indexing="ij")
+    x, y = np.meshgrid(np.arange(table.cols) + table.origin,
+                       np.arange(table.rows) + table.origin, indexing="ij")
     for dx, dy in [(0.5, 0.5), (0.0, 0.0), (1.0 - 1e-9, 1.0 - 1e-9)]:
         pts = np.column_stack([(x.ravel() + dx) * cs, (y.ravel() + dy) * cs])
         assert table.code[_keys(table, pts)].tobytes() == want.ravel().tobytes()

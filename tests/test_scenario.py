@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +217,88 @@ def test_shipped_clinic_round_trips(tmp_path):
     # the shipped file is already in canonical form
     assert serialize_scenario(s) == text
     assert serialize_scenario(parse_scenario(serialize_scenario(s))) == serialize_scenario(s)
+
+
+def replaced(node, at, value):
+    """A copy of ``node`` whose node at key path ``at`` is ``value``."""
+    if not at:
+        return value
+    node = node.copy()
+    node[at[0]] = replaced(node[at[0]], at[1:], value) if at[1:] else value
+    return node
+
+
+def cycle(**count):
+    return {"kind": "cycle", "steps": [{"kind": "goto", "location": "room"}], **count}
+
+
+VISITOR = ("agent_types", 0)
+CYCLE = (*VISITOR, "workflow", 1)
+
+
+def case(at, value, message):
+    return pytest.param(at, value, message, id=message.split()[0])
+
+
+# (key path in MINIMAL, value, message): each count takes one rule
+V = "agent_types['visitor']"
+BAD_COUNTS = [
+    case(CYCLE, cycle(repeat=True), f"{V}.workflow[1].repeat must be an integer >= 1"),
+    case(CYCLE, cycle(until_tick=False), f"{V}.workflow[1].until_tick must be an integer >= 0"),
+    case(CYCLE, cycle(repeat=0), f"{V}.workflow[1].repeat must be an integer >= 1"),
+    case(CYCLE, cycle(until_tick=2.0), f"{V}.workflow[1].until_tick must be an integer >= 0"),
+    case((*VISITOR, "population"), True, f"{V}.population must be an integer >= 0"),
+    case((*VISITOR, "arrival"), [0, -1], f"{V}.arrival[1] must be an integer >= 0"),
+    case((*VISITOR, "arrival"), {"interval": False},
+         f"{V}.arrival.interval must be an integer >= 0"),
+    case((*VISITOR, "workflow"), [], f"{V}.workflow must be a non-empty list"),
+    case(("map", "locations", "room", "capacity"), 0,
+         "map.locations['room'].capacity must be an integer >= 1"),
+    case(("map", "height"), True, "map.height must be an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("at, value, message", BAD_COUNTS)
+def test_a_count_that_is_not_an_integer_at_its_bound_is_rejected(at, value, message):
+    """A bool is not a count: ``"repeat": true`` and ``"until_tick": false``
+    once parsed."""
+    with pytest.raises(ScenarioError) as e:
+        parse_scenario(json.dumps(replaced(MINIMAL, at, value)))
+    assert str(e.value) == message
+
+
+def test_a_cycle_in_place_of_the_dwell_parses():
+    s = parse_scenario(json.dumps(replaced(MINIMAL, CYCLE, cycle(repeat=2))))
+    assert s.agent_types[0].workflow[1] == Cycle((GoTo("room"),), repeat=2)
+
+
+SHIPPED_CLINIC = json.loads(
+    (Path(__file__).resolve().parents[1] / "src" / "contactmix" / "data" / "clinic.json")
+    .read_text(encoding="utf-8"))
+
+
+def key_paths(node, at=()):
+    """The key path of ``node`` and of every node under it, containers too."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from key_paths(v, at + (k,))
+
+
+@pytest.mark.parametrize("value", [None, True, -1, 0.5, "x", [], {}, [0]], ids=repr)
+def test_any_node_of_the_clinic_replaced_parses_or_is_rejected(value):
+    """Each node of the shipped clinic, containers included, swapped for
+    ``value``: the document parses or raises ``ScenarioError``, nothing else.
+    A ``map.blocked`` of null, a number or a bool was once a TypeError."""
+    crashes = []
+    for at in key_paths(SHIPPED_CLINIC):
+        try:
+            parse_scenario(json.dumps(replaced(SHIPPED_CLINIC, at, value)))
+        except ScenarioError:
+            pass
+        except Exception as e:  # any other exception is the failure
+            crashes.append(f"{list(at)}: {type(e).__name__}: {e}")
+    assert not crashes, crashes[:5]
 
 
 # --- sample_duration ----------------------------------------------------------
