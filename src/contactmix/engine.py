@@ -30,7 +30,8 @@ order: per axis, each agent's relaxation term, then +f on every pair's
 first agent, then -f on every second agent, in pair order; wall forces are
 summed from zero in (agent, wall) order, then added.  Routes are memoised
 per (start cell, goal cell); A* on a static map always returns the same
-path.
+path, and every cell of it past the start is a key of the map's move table,
+so a memoised route adds one pointer per step and no cell tuples.
 
 Every physics array is indexed by agent: ``Simulation._physics`` hands the
 preparations and kernels its own arrays with the present and moving rows,
@@ -228,6 +229,28 @@ def _speed_overflows(
     velocity = desired_speed * (f + dt * (1.0 + f) / params.relaxation_time)
     skin = 2.0 * f * desired_speed * tick_length * (substeps + 1)
     return not math.isfinite(2.0 * max(velocity, skin))
+
+
+def _radius_overflows(
+    radius: float, params: ForceParameters, pairs: int, walls: int, dt: float, cell_size: float
+) -> bool:
+    """Whether a body radius can overflow the physics, in the worst case: an
+    agent coincident with ``pairs`` others of its radius and ``_EPS`` from
+    each of ``walls`` walls (every wall of the map bounds those a tick can
+    list).  Each exp, a wall force's scale (its exp over that distance), the
+    summed force and dt times it must stay finite, and so must twice both
+    cutoffs, to which the skin adds travel; the factor 2 leaves room for
+    rounding and for numpy's exp."""
+    try:
+        e_pair = math.exp(2.0 * radius / params.repulsion_range)
+        e_wall = math.exp(radius / params.obstacle_range)
+    except OverflowError:
+        return True
+    wall = params.obstacle_strength * e_wall
+    force = pairs * params.repulsion_strength * e_pair + walls * wall
+    cutoff = max(_agent_cutoff(radius, params), _obstacle_radius(radius, params, cell_size))
+    return not all(math.isfinite(2.0 * v)
+                   for v in (e_pair, e_wall, wall / _EPS, force, dt * force, 2.0 * cutoff))
 
 
 def _widened(radius: float, travel: float, extent: float, substeps: int) -> float:
@@ -952,8 +975,15 @@ class Simulation:
         self.tick_length = config.tick_length if config.tick_length is not None else scenario.tick_length
         self.type_names = scenario.type_names
         self._routes: dict[tuple, tuple] = {}  # (start cell, goal cell) -> route cells
-        # routes share one tuple per cell, so the memo grows by a pointer per step
-        self._route_cells: dict[tuple, tuple] = {}
+
+        others = max(sum(t.population for t in scenario.agent_types) - 1, 0)
+        walls = len(_obstacle_cells(self.env))
+        for spec in scenario.agent_types:
+            if _radius_overflows(spec.radius, config.forces, others, walls,
+                                 self.tick_length / config.physics_substeps, self.env.cell_size):
+                raise ScenarioError(
+                    f"agent_types[{spec.name!r}].radius: {spec.radius!r} m is too large: "
+                    "the force between coincident agents, or from a wall, would overflow")
 
         self.agents: list[_Agent] = []
         v0: list[float] = []
@@ -967,7 +997,7 @@ class Simulation:
                 if _speed_overflows(speed, config.forces, self.tick_length,
                                     config.physics_substeps):
                     raise ScenarioError(
-                        f"agent_types[{t_idx}].desired_speed: drew {speed!r} m/s, too fast "
+                        f"agent_types[{spec.name!r}].desired_speed: drew {speed!r} m/s, too fast "
                         "to integrate: a substep's velocity or search radius would overflow")
                 v0.append(speed)
                 types.append(t_idx)
@@ -1033,8 +1063,7 @@ class Simulation:
                 raise SimulationFault(
                     f"agent {ag.index} ({t_name}) cannot reach location {goal_name!r}: {e}"
                 ) from e
-            pool = self._route_cells
-            cells = self._routes[(start, goal)] = tuple(pool.setdefault(c, c) for c in path)
+            cells = self._routes[(start, goal)] = tuple(path)
         waypoints = [self.env.cell_center(c) for c in cells[:-1]]
         waypoints.append(point)
         ag.waypoints = waypoints

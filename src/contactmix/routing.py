@@ -1,8 +1,9 @@
 """Shortest paths on the walkable-cell grid.
 
-Moves are 8-connected; straight steps cost 1 and diagonal steps sqrt(2).
-A diagonal step is only allowed when both adjacent straight cells are
-walkable, so paths never clip the corner of a blocked cell.
+A* (Hart, Nilsson & Raphael 1968) over the map's move table,
+``EnvironmentMap.moves``: 8-connected moves, straight steps costing 1 and
+diagonal steps sqrt(2), a diagonal only when both adjacent straight cells
+are walkable, so paths never clip the corner of a blocked cell.
 """
 
 from __future__ import annotations
@@ -10,12 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .scenario import EnvironmentMap
-
-SQRT2 = math.sqrt(2.0)
-
-_STRAIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+from .scenario import SQRT2, EnvironmentMap
 
 
 class NoRouteError(RuntimeError):
@@ -43,7 +39,7 @@ def shortest_cell_path(
     if start == goal:
         return [start], 0.0
 
-    cells = env.walkable_cells
+    moves = env.moves
     g: dict[tuple[int, int], float] = {start: 0.0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     # Ties broken on (f, h, cell) so expansion order is fully deterministic.
@@ -62,24 +58,9 @@ def shortest_cell_path(
         if cell in closed:
             continue
         closed.add(cell)
-        x, y = cell
         g_cell = g[cell]
-        for dx, dy in _STRAIGHT:
-            nxt = (x + dx, y + dy)
-            if nxt not in cells:
-                continue
-            cost = g_cell + 1.0
-            if cost < g.get(nxt, math.inf):
-                g[nxt] = cost
-                parent[nxt] = cell
-                h = _octile(nxt, goal)
-                heapq.heappush(open_heap, (cost + h, h, nxt))
-        for dx, dy in _DIAGONAL:
-            nxt = (x + dx, y + dy)
-            # corner rule: both straight neighbours must be open
-            if not (nxt in cells and (x + dx, y) in cells and (x, y + dy) in cells):
-                continue
-            cost = g_cell + SQRT2
+        for nxt, step in zip(*moves[cell]):
+            cost = g_cell + step
             if cost < g.get(nxt, math.inf):
                 g[nxt] = cost
                 parent[nxt] = cell

@@ -42,6 +42,7 @@ Each message names the key path at fault, such as
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -281,6 +282,10 @@ def _step_to_json(step: WorkflowStep) -> dict[str, Any]:
 
 # --- map --------------------------------------------------------------------
 
+SQRT2 = math.sqrt(2.0)  # the cost of a diagonal move, a straight one costing 1
+_STRAIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
 
 @dataclass(frozen=True)
 class Location:
@@ -304,17 +309,27 @@ class EnvironmentMap:
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(math.floor(x / self.cell_size)), int(math.floor(y / self.cell_size)))
 
-    def in_bounds(self, cell: tuple[int, int]) -> bool:
-        return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
-
     def walkable(self, cell: tuple[int, int]) -> bool:
-        return self.in_bounds(cell) and cell not in self.blocked
+        return cell in self.moves
 
     @cached_property
-    def walkable_cells(self) -> frozenset[tuple[int, int]]:
-        """Every walkable cell, for set lookups on hot paths (same as ``walkable``)."""
-        every = ((x, y) for x in range(self.width) for y in range(self.height))
-        return frozenset(every) - self.blocked
+    def moves(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], tuple[float, ...]]]:
+        """Walkable (on the grid, not blocked) cell -> (the cells one move
+        away, each move's cost).  Moves are 8-connected, straight ones (cost
+        1) first, then diagonal ones (cost ``SQRT2``) where both straight
+        cells beside them are walkable, so no move clips a blocked corner.
+        Every neighbour is the table's own key: paths share one tuple per cell."""
+        grid = itertools.product(range(self.width), range(self.height))
+        cells = {c: c for c in grid if c not in self.blocked}
+        table = {}
+        for cell in cells:
+            x, y = cell
+            to = [((x + dx, y + dy), 1.0) for dx, dy in _STRAIGHT]
+            to += [((x + dx, y + dy), SQRT2) for dx, dy in _DIAGONAL
+                   if (x + dx, y) in cells and (x, y + dy) in cells]  # the corner rule
+            to = [(cells[c], cost) for c, cost in to if c in cells]
+            table[cell] = (tuple(c for c, _ in to), tuple(cost for _, cost in to))
+        return table
 
     @cached_property
     def location_index(self) -> dict[str, int]:

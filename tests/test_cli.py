@@ -2,11 +2,13 @@ import csv
 import filecmp
 import importlib
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import contactmix.__main__
 from contactmix import cli, contacts
 from contactmix.cli import EXIT_FAULT, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from contactmix.engine import SimConfig, Simulation
 from contactmix.frames import ROWS
 from contactmix.scenario import ScenarioError, parse_scenario
 
@@ -445,7 +448,7 @@ def test_a_speed_whose_substep_overflows_exits_1(desired_speed, tmp_path, capsys
     assert code == EXIT_INVALID
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
-    assert re.match(r"error: agent_types\[0\]\.desired_speed: drew \S+e\+30[78] m/s", err), err
+    assert re.match(r"error: agent_types\['patient'\]\.desired_speed: drew \S+e\+30[78] m/s", err), err
     assert not (tmp_path / "o").exists()
 
 
@@ -453,6 +456,52 @@ def test_a_huge_speed_that_fits_runs(tmp_path):
     path = shipped_clinic_at_speed(tmp_path, {"kind": "constant", "value": 1e200})
     code = run_cli("run", "--scenario", path, "--ticks", 60, "--out", tmp_path / "o")
     assert code == EXIT_OK
+
+
+def shipped_clinic_with_radius(tmp_path, radius):
+    doc = json.loads(SHIPPED_CLINIC.read_text(encoding="utf-8"))
+    doc["agent_types"][0]["radius"] = radius  # the patients
+    path = tmp_path / f"scenario-{radius!r}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("radius", [200, 1e3, 1e308, 2**63])
+def test_a_radius_whose_forces_overflow_exits_1(radius, tmp_path, capsys):
+    """Once a RuntimeWarning from np.exp and an IndexError traceback from
+    containment, or at 1e308 a ValueError from the pair search."""
+    path = shipped_clinic_with_radius(tmp_path, radius)
+    code = run_cli("run", "--scenario", path, "--ticks", 40, "--out", tmp_path / "o")
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: agent_types['patient'].radius: "), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_largest_accepted_radius_runs(tmp_path):
+    doc = json.loads(SHIPPED_CLINIC.read_text(encoding="utf-8"))
+
+    def accepted(radius):
+        doc["agent_types"][0]["radius"] = radius
+        try:
+            Simulation(parse_scenario(json.dumps(doc)), SimConfig(ticks=40))
+        except ScenarioError:
+            return False
+        return True
+
+    lo, hi = 1.0, 200.0  # accepted, rejected
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in np.exp or after it
+        code = run_cli("run", "--scenario", shipped_clinic_with_radius(tmp_path, lo),
+                       "--ticks", 40, "--out", tmp_path / "o")
+    assert code == EXIT_OK
+    code = run_cli("run", "--scenario", shipped_clinic_with_radius(tmp_path, hi),
+                   "--ticks", 40, "--out", tmp_path / "o2")
+    assert code == EXIT_INVALID
 
 
 # (where in the scenario document, key at fault): json reads NaN, Infinity

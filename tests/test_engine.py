@@ -868,6 +868,10 @@ def test_routes_are_memoised_per_start_and_goal(monkeypatch):
     assert calls, "the run should route"
     assert len(calls) == len(set(calls))  # each (start, goal) is searched once
     assert sorted(sim._routes) == sorted(calls)
+    assert any(len(cells) > 1 for cells in sim._routes.values())
+    own = {c: c for c in sim.env.moves}
     for (start, goal), cells in sim._routes.items():
         assert isinstance(cells, tuple)
         assert cells == tuple(real(sim.env, start, goal)[0])
+        # past its start, a memoised route holds the move table's own tuples
+        assert all(c is own[c] for c in cells[1:])

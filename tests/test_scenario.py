@@ -213,7 +213,7 @@ def test_shipped_clinic_round_trips(tmp_path):
     assert set(s.type_names) == {
         "patient", "clerk", "housekeeper", "assistant", "nurse", "physician", "nephrologist",
     }
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     # the shipped file is already in canonical form
     assert serialize_scenario(s) == text
     assert serialize_scenario(parse_scenario(serialize_scenario(s))) == serialize_scenario(s)
